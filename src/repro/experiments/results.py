@@ -14,13 +14,22 @@ Records hold only plain JSON types (ints, floats, strings, lists,
   guarantee bit-identical results to serial execution, and
 * files written by ``--json`` round-trip losslessly (Python's float
   repr is shortest-exact).
+
+Files are written by one streaming writer (:func:`write_json`): it
+emits the bytes ``json.dump(doc, fh, indent=2, sort_keys=True)`` would,
+field by field, renders a columnar service event log straight from its
+arrays, and replaces the target atomically.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+import os
+import uuid
+from dataclasses import asdict, dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["RunRecord", "SCHEMA", "write_json", "write_records",
            "read_records"]
@@ -102,9 +111,10 @@ class RunRecord:
     #: dicts (see :mod:`repro.service.manager`); empty for solver runs.
     #: Live service runs store the columnar
     #: :class:`repro.service.telemetry.EventLog` here (it indexes,
-    #: iterates, and compares as the same list of dicts);
-    #: :meth:`to_dict` renders it to plain dicts, so JSON round-trips
-    #: are unchanged.  Reduce with
+    #: iterates, and compares as the same list of dicts).
+    #: :func:`write_records` streams its JSON text straight from the
+    #: arrays and :meth:`to_dict` renders it to plain dicts; both give
+    #: what the list of dicts would.  Reduce with
     #: :func:`repro.service.summarize_service`
     service_events: List[Dict[str, Any]] = field(default_factory=list)
     #: autoscale decision/transition log of a service run with a
@@ -157,9 +167,13 @@ class RunRecord:
         return sum(int(e["recovery_bytes"]) for e in self.recovery_events)
 
     def to_dict(self) -> Dict[str, Any]:
-        d = asdict(self)
-        if type(d["service_events"]) is not list:
-            d["service_events"] = list(self.service_events)
+        events = self.service_events
+        if type(events) is list:
+            return asdict(self)
+        # asdict would deep-copy a columnar log (it is no dataclass)
+        # only for the copy to be replaced; render its dicts instead
+        d = asdict(replace(self, service_events=[]))
+        d["service_events"] = list(events)
         return d
 
     @classmethod
@@ -174,18 +188,83 @@ class RunRecord:
         return cls.from_dict(json.loads(text))
 
 
+def _json_chunks(value: Any, level: int) -> Iterable[str]:
+    """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives,
+    with every line after the first indented ``level`` more levels.
+
+    Run records are written field by field, lists holding records item
+    by item, and anything with an ``iter_json`` method (the columnar
+    service event log) renders itself; every other value goes through
+    the stock encoder, which is exact re-indented because JSON escapes
+    every newline inside a string.
+    """
+    if hasattr(value, "iter_json"):
+        return value.iter_json(level)
+    if isinstance(value, RunRecord):
+        return _object_chunks([(f.name, getattr(value, f.name))
+                               for f in fields(value)], level)
+    if isinstance(value, list) and any(isinstance(v, RunRecord)
+                                       for v in value):
+        return _array_chunks(value, level)
+    text = json.dumps(value, indent=2, sort_keys=True)
+    return (text.replace("\n", "\n" + "  " * level),)
+
+
+def _object_chunks(items: Iterable[Tuple[str, Any]],
+                   level: int) -> Iterator[str]:
+    items = sorted(items)
+    if not items:
+        yield "{}"
+        return
+    pad = "\n" + "  " * (level + 1)
+    head = "{"
+    for key, value in items:
+        yield f"{head}{pad}{encode_basestring_ascii(key)}: "
+        yield from _json_chunks(value, level + 1)
+        head = ","
+    yield "\n" + "  " * level + "}"
+
+
+def _array_chunks(values: List[Any], level: int) -> Iterator[str]:
+    pad = "\n" + "  " * (level + 1)
+    head = "["
+    for value in values:
+        yield head + pad
+        yield from _json_chunks(value, level + 1)
+        head = ","
+    yield "\n" + "  " * level + "]"
+
+
 def write_json(path: str, payload: Dict[str, Any]) -> None:
-    """Write ``payload`` (plus the schema tag) as pretty JSON."""
+    """Write ``payload`` (plus the schema tag) as pretty JSON.
+
+    The file holds exactly the bytes ``json.dump(doc, fh, indent=2,
+    sort_keys=True)`` plus a newline would, but payload values may also
+    be run records (or lists of them), which are streamed without
+    building their dicts.  The text goes to a sibling temporary file
+    that replaces ``path`` only once it is complete, so a failure
+    mid-write leaves any previous file intact and no partial one.
+    """
     doc = {"schema": SCHEMA}
     doc.update(payload)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tmp = f"{path}.{uuid.uuid4().hex[:12]}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            write = fh.write
+            for chunk in _object_chunks(doc.items(), 0):
+                write(chunk)
+            write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def write_records(path: str, records: List[RunRecord]) -> None:
     """Serialize a list of run records to ``path``."""
-    write_json(path, {"records": [r.to_dict() for r in records]})
+    write_json(path, {"records": list(records)})
 
 
 def read_records(path: str) -> List[RunRecord]:

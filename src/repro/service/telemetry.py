@@ -10,15 +10,20 @@ it on whichever they have.
 manager appends typed rows into parallel arrays (a byte per kind, a
 float64 per timestamp, …) instead of allocating one dict per event,
 and the log lazily renders dicts on access so every consumer of the
-list-of-dicts shape — ``RunRecord.service_events`` persistence,
-:func:`summarize_service`, the reporting tables — sees byte-identical
-events (see DESIGN.md, "Service fast path").
+list-of-dicts shape — :func:`summarize_service`, the reporting tables,
+parity asserts — sees byte-identical events.  Persistence skips the
+dicts altogether: :meth:`EventLog.iter_json` renders the JSON text of
+the stream straight from the arrays, and the record writer
+(:func:`repro.experiments.write_records`) streams it to the file (see
+DESIGN.md, "Service fast path").
 """
 
 from __future__ import annotations
 
+import json
 import math
 from array import array
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 __all__ = ["EventLog", "percentile", "jain_fairness", "summarize_service"]
@@ -27,6 +32,26 @@ __all__ = ["EventLog", "percentile", "jain_fairness", "summarize_service"]
 #: internal encoding, never persisted)
 _ARRIVAL, _SHED, _START, _FINISH = 0, 1, 2, 3
 _KIND_NAMES = ("arrival", "shed", "start", "finish")
+
+#: events rendered per chunk by :meth:`EventLog.iter_json`
+_JSON_CHUNK = 4096
+
+_float_repr = float.__repr__
+_INF = float("inf")
+
+
+def _json_number(x: Any) -> str:
+    """``x`` as :mod:`json` writes it; floats take json's own route,
+    ``float.__repr__`` or ``NaN`` / ``Infinity`` / ``-Infinity``."""
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == _INF:
+            return "Infinity"
+        if x == -_INF:
+            return "-Infinity"
+        return _float_repr(x)
+    return json.dumps(x)
 
 
 class EventLog:
@@ -113,6 +138,68 @@ class EventLog:
         for i in range(len(self._kind)):
             yield self._event(i)
 
+    # -- JSON rendering ----------------------------------------------------
+    def iter_json(self, level: int = 0) -> Iterator[str]:
+        """The JSON text of ``list(self)``, in chunks, without any dict.
+
+        Joined, the chunks are exactly ``json.dumps(list(self),
+        indent=2, sort_keys=True)`` with every line after the first
+        indented ``level`` more levels: the text the list has when it
+        sits ``level`` containers deep in an indent-2 document.  Each
+        chunk renders up to ``_JSON_CHUNK`` events straight from the
+        arrays, so memory stays bounded whatever the log's length.
+        """
+        n = len(self._kind)
+        if not n:
+            yield "[]"
+            return
+        item = "\n" + "  " * (level + 1)
+        key = item + "  "
+        names = [encode_basestring_ascii(name) for name in self._names]
+        # one template per kind, keys in sorted order; ``job`` is always
+        # an int (the column is int64), the extras go through json's
+        # number rules (``%s`` of an exact int is already its repr)
+        arrival = (f'{{{key}"job": %d,{key}"kind": "arrival",{key}"t": %s,'
+                   f'{key}"tenant": %s{item}}}')
+        shed = (f'{{{key}"depth": %s,{key}"job": %d,{key}"kind": "shed",'
+                f'{key}"t": %s,{key}"tenant": %s{item}}}')
+        start = (f'{{{key}"job": %d,{key}"kind": "start",{key}"t": %s,'
+                 f'{key}"tenant": %s,{key}"wait": %s{item}}}')
+        finish = (f'{{{key}"job": %d,{key}"kind": "finish",'
+                  f'{key}"makespan": %s,{key}"service": %s,{key}"t": %s,'
+                  f'{key}"tenant": %s,{key}"wait": %s{item}}}')
+        num = _json_number
+        sep = "," + item
+        head = "[" + item
+        for lo in range(0, n, _JSON_CHUNK):
+            hi = min(lo + _JSON_CHUNK, n)
+            t_col = self._t[lo:hi]
+            total = sum(t_col)
+            # a finite sum means every timestamp is finite, so the plain
+            # repr is json's text for all of them (an overflowing sum
+            # only costs the slower per-value path)
+            t_text = map(_float_repr if total - total == 0 else num, t_col)
+            rows: List[str] = []
+            append = rows.append
+            for kind, t, tenant, job, extra in zip(
+                    self._kind[lo:hi], t_text, self._tenant[lo:hi],
+                    self._job[lo:hi], self._extra[lo:hi]):
+                if kind == _ARRIVAL:
+                    append(arrival % (job, t, names[tenant]))
+                elif kind == _SHED:
+                    depth = extra[0]
+                    append(shed % (depth if type(depth) is int
+                                   else num(depth), job, t, names[tenant]))
+                elif kind == _START:
+                    append(start % (job, t, names[tenant], num(extra[0])))
+                else:
+                    wait, makespan, service = extra
+                    append(finish % (job, num(makespan), num(service), t,
+                                     names[tenant], num(wait)))
+            yield head + sep.join(rows)
+            head = sep
+        yield "\n" + "  " * level + "]"
+
     def __eq__(self, other: Any) -> bool:
         if isinstance(other, EventLog):
             return (self._names == other._names
@@ -198,10 +285,16 @@ def summarize_service(events: List[Dict[str, Any]], horizon: float,
     if isinstance(events, EventLog):
         # columnar fast path: walk the typed arrays directly instead of
         # materializing one dict per event; the accumulations (and thus
-        # every number in the summary) are identical
+        # every number in the summary) are identical.  Buckets resolve
+        # once per tenant index, on first sight, so tenants without
+        # events still get no bucket
         names = events._names
-        for i, kind in enumerate(events._kind):
-            b = bucket(names[events._tenant[i]])
+        by_index: List[Optional[Dict[str, Any]]] = [None] * len(names)
+        for i, (kind, tenant) in enumerate(zip(events._kind,
+                                               events._tenant)):
+            b = by_index[tenant]
+            if b is None:
+                b = by_index[tenant] = bucket(names[tenant])
             if kind == _ARRIVAL:
                 offered += 1
                 b["offered"] += 1

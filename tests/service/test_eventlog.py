@@ -94,6 +94,22 @@ class TestDownstream:
         assert (summarize_service(log, 10.0)
                 == summarize_service(list(log), 10.0))
 
+    def test_summarize_columnar_matches_dicts_many_tenants(self):
+        # 64 tenants, thousands of rows: per-tenant-index buckets must
+        # reproduce the per-event name lookup exactly
+        rec = run_service(build("service_extreme", horizon=2e-4))
+        log = rec.service_events
+        assert type(log) is EventLog and len(log) > 1000
+        assert (summarize_service(log, 2e-4)
+                == summarize_service(list(log), 2e-4))
+
+    def test_summarize_skips_tenants_without_events(self):
+        log = EventLog(["idle", "busy", "also-idle"])
+        log.arrival(0.0, 1, 0)
+        summary = summarize_service(log, 1.0)
+        assert list(summary["tenants"]) == ["busy"]
+        assert summary == summarize_service(list(log), 1.0)
+
     def test_record_json_round_trip(self):
         rec = run_service(build("service_poisson", horizon=5e-4))
         assert type(rec.service_events) is EventLog

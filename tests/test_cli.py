@@ -332,6 +332,13 @@ class TestJsonOutput:
         assert len(doc["parts"]) == 64
         assert doc["partition"]["seed"] == 2
 
+    def test_unwritable_json_path_is_a_clean_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "solve.json"
+        with pytest.raises(SystemExit, match="cannot write"):
+            main(["solve", "--nx", "16", "--eps-factor", "2",
+                  "--steps", "1", "--json", str(path)])
+        assert not path.parent.exists()
+
 
 class TestDesQueueEnv:
     def test_bad_queue_env_reported_cleanly(self, capsys, monkeypatch):
