@@ -1,7 +1,7 @@
-"""DES fast-path throughput: queue backends x wave batching x plan cache.
+"""DES fast-path throughput: per-event loop vs wave-batched fast path.
 
 Two workloads, each run once per configuration in a fresh subprocess
-(so ``REPRO_DES_*`` is read cleanly and ``ru_maxrss`` gives a true
+(so ``REPRO_DES_WAVE`` is read cleanly and ``ru_maxrss`` gives a true
 per-configuration peak):
 
 * **core** — a cluster-level task/message stress (no solver): every
@@ -19,17 +19,15 @@ per-configuration peak):
 
 Configurations:
 
-* ``seed-heap`` — ``REPRO_DES_QUEUE=heap``, wave batching and the
-  solver step-plan cache off: the seed's per-event heap loop.
-* ``heap+wave`` — heap queue with wave batching and plan cache on.
-* ``bucket+wave`` — the calendar queue with wave batching and plan
-  cache on (the default fast path at scale).
+* ``per-event`` — ``REPRO_DES_WAVE=0``: every task completion and
+  message delivery is its own event, the seed's event loop.
+* ``fast`` — the default: wave batching on.
 
 Every configuration must produce the *identical* virtual clock on both
 workloads — the determinism contract the fast path is built under —
 and the committed record must show the fast path retiring logical
 events at ``>= REPRO_BENCH_MIN_DES_SPEEDUP`` (default 5) times the
-seed configuration's rate on the core workload, with the end-to-end
+per-event configuration's rate on the core workload, with the end-to-end
 scenario clearing ``REPRO_BENCH_MIN_EVENTS_PER_SEC``.
 
 Emits JSON in the harness result schema; ``REPRO_BENCH_JSON=path``
@@ -60,16 +58,14 @@ CORE_TASKS = int(os.environ.get("REPRO_BENCH_DES_CORE_TASKS", "192"))
 CORE_MSGS = int(os.environ.get("REPRO_BENCH_DES_CORE_MSGS", "4000"))
 CORE_REPS = int(os.environ.get("REPRO_BENCH_DES_CORE_REPS", "3"))
 
-#: fast path vs seed loop on the core workload (the 5x bar)
+#: fast path vs per-event loop on the core workload (the 5x bar)
 _MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_DES_SPEEDUP", "5.0"))
 #: absolute end-to-end floor for the fast configuration (logical ev/s)
 _MIN_EVENTS = float(os.environ.get("REPRO_BENCH_MIN_EVENTS_PER_SEC", "20000"))
 
 CONFIGS = (
-    {"name": "seed-heap", "queue": "heap", "wave": "0", "plancache": "0"},
-    {"name": "heap+wave", "queue": "heap", "wave": "1", "plancache": "1"},
-    {"name": "bucket+wave", "queue": "bucket", "wave": "1",
-     "plancache": "1"},
+    {"name": "per-event", "wave": "0"},
+    {"name": "fast", "wave": "1"},
 )
 
 
@@ -123,9 +119,7 @@ def _worker(config_json: str) -> None:
     cfg = json.loads(config_json)
     row = {
         "config": cfg["name"],
-        "queue": cfg["queue"],
         "wave_batching": cfg["wave"] == "1",
-        "plan_cache": cfg["plancache"] == "1",
         "core": _run_core(),
         "scenario": _run_scenario(),
         "peak_rss_bytes": peak_rss_bytes(),
@@ -135,9 +129,7 @@ def _worker(config_json: str) -> None:
 
 def _run_config(cfg):
     env = dict(os.environ)
-    env["REPRO_DES_QUEUE"] = cfg["queue"]
     env["REPRO_DES_WAVE"] = cfg["wave"]
-    env["REPRO_DES_PLANCACHE"] = cfg["plancache"]
     env.pop("REPRO_DES_PROFILE", None)
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--worker",
@@ -163,26 +155,26 @@ def config_rows():
 def test_des_core(benchmark):
     rows = config_rows()
     by_name = {r["config"]: r for r in rows}
-    seed, fast = by_name["seed-heap"], by_name["bucket+wave"]
+    slow, fast = by_name["per-event"], by_name["fast"]
 
     # determinism first: every configuration produced the identical
     # virtual schedule on both workloads
     assert len({r["core"]["makespan"] for r in rows}) == 1
     assert len({r["scenario"]["makespan"] for r in rows}) == 1
 
-    # logical = seed-equivalent event count: the seed configuration
+    # logical = seed-equivalent event count: the per-event configuration
     # retires every event individually, so its physical count is the
     # canonical denominator for the end-to-end throughput comparison
-    scenario_logical = seed["scenario"]["physical_events"]
+    scenario_logical = slow["scenario"]["physical_events"]
     for r in rows:
         r["scenario"]["logical_events"] = scenario_logical
         r["scenario"]["events_per_second"] = (
             scenario_logical / r["scenario"]["wall_seconds"])
 
     core_speedup = (fast["core"]["events_per_second"]
-                    / seed["core"]["events_per_second"])
+                    / slow["core"]["events_per_second"])
     scenario_speedup = (fast["scenario"]["events_per_second"]
-                        / seed["scenario"]["events_per_second"])
+                        / slow["scenario"]["events_per_second"])
 
     print("\n" + format_table(
         ["config", "core ev/s", "core phys", "scenario ev/s",
@@ -195,18 +187,18 @@ def test_des_core(benchmark):
         title=f"DES core throughput — core {CORE_NODES}n x {CORE_TASKS}t "
               f"+ {CORE_MSGS}m, scenario {MESH}^2 / {SD_AXIS}^2 SDs / "
               f"{NODES} nodes / {STEPS} steps"))
-    print(f"core speedup (bucket+wave / seed-heap): {core_speedup:.2f}x; "
+    print(f"core speedup (fast / per-event): {core_speedup:.2f}x; "
           f"end-to-end: {scenario_speedup:.2f}x")
 
     assert core_speedup >= _MIN_SPEEDUP, (
         f"fast path retired logical events only {core_speedup:.2f}x "
-        f"faster than the seed heap loop (floor {_MIN_SPEEDUP:g}x)")
+        f"faster than the per-event loop (floor {_MIN_SPEEDUP:g}x)")
     assert fast["scenario"]["events_per_second"] >= _MIN_EVENTS, (
         f"end-to-end {fast['scenario']['events_per_second']:,.0f} ev/s "
         f"below the {_MIN_EVENTS:,.0f} floor")
     # wave batching must actually shrink the physical event count
     assert (fast["core"]["physical_events"]
-            < seed["core"]["physical_events"])
+            < slow["core"]["physical_events"])
 
     payload = {
         "benchmark": "des_core",

@@ -10,8 +10,9 @@ network makes the difference visible.
 Run:  python examples/overlap_gantt.py
 """
 
-from repro import (DistributedSolver, Network, NonlocalHeatModel,
-                   SubdomainGrid, UniformGrid, block_partition)
+from repro import (DistributedSolver, NonlocalHeatModel, SubdomainGrid,
+                   UniformGrid, block_partition)
+from repro.amt import FlatTopology
 from repro.reporting import TraceRecorder, render_gantt
 
 
@@ -19,7 +20,7 @@ def run(overlap: bool):
     grid = UniformGrid(128, 128)
     model = NonlocalHeatModel(epsilon=8 * grid.h)
     sd_grid = SubdomainGrid(128, 128, 2, 2)      # one SD per node
-    net = Network(latency=2e-4, bandwidth=5e6)   # slow interconnect
+    net = FlatTopology(latency=2e-4, bandwidth=5e6)   # slow interconnect
     solver = DistributedSolver(model, grid, sd_grid,
                                block_partition(2, 2, 4), num_nodes=4,
                                network=net, compute_numerics=False,

@@ -35,8 +35,7 @@ Sub-packages:
   (specs, registry, parallel sweep runner, structured results).
 """
 
-from .amt import (ConstantSpeed, Network, PiecewiseSpeed, SimCluster,
-                  TaskExecutor)
+from .amt import ConstantSpeed, PiecewiseSpeed, SimCluster, TaskExecutor
 from .experiments import (ClusterSpec, MeshSpec, PartitionSpec, PolicySpec,
                           RunRecord, ScenarioSpec, TopologySpec,
                           build_scenario, run_scenario, run_sweep,
@@ -54,7 +53,7 @@ from .solver import (AsyncSolver, DistributedSolver, ManufacturedProblem,
 __version__ = "1.0.0"
 
 __all__ = [
-    "ConstantSpeed", "Network", "PiecewiseSpeed", "SimCluster", "TaskExecutor",
+    "ConstantSpeed", "PiecewiseSpeed", "SimCluster", "TaskExecutor",
     "BalanceStrategy", "IntervalPolicy", "LoadBalancer", "NeverBalance",
     "ThresholdPolicy", "strategy_names",
     "Decomposition", "SubdomainGrid", "UniformGrid", "build_stencil",

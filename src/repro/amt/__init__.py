@@ -24,8 +24,7 @@ from .executor import TaskExecutor
 from .future import (Future, FutureError, LocalFuture, Promise, dataflow,
                      local_when_all, make_exceptional_future,
                      make_ready_future, when_all)
-from .cluster import (ConstantSpeed, Network, PiecewiseSpeed, RampSpeed,
-                      SimCluster,
+from .cluster import (ConstantSpeed, PiecewiseSpeed, RampSpeed, SimCluster,
                       SimNode, SimTask, SpeedTrace, StraggleSpeed)
 from .faults import (DEFAULT_RECOVERY_PENALTY, ChurnEvent, FaultSchedule,
                      RecoveryEvent)
@@ -43,7 +42,7 @@ __all__ = [
     "Future", "FutureError", "LocalFuture", "Promise", "dataflow",
     "local_when_all", "make_exceptional_future", "make_ready_future",
     "when_all",
-    "ConstantSpeed", "Network", "PiecewiseSpeed", "RampSpeed", "SimCluster",
+    "ConstantSpeed", "PiecewiseSpeed", "RampSpeed", "SimCluster",
     "SimNode", "SimTask", "SpeedTrace", "StraggleSpeed",
     "ChurnEvent", "FaultSchedule", "RecoveryEvent",
     "DEFAULT_RECOVERY_PENALTY",

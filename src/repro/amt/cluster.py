@@ -35,9 +35,10 @@ from .agas import AddressSpace
 from .counters import BusyTimeCounter, CounterRegistry
 from .des import Event, SimulationError, Simulator
 from .future import _MULTI, Future, LocalFuture, local_when_all
+from .topology import FlatTopology, Topology
 
 __all__ = ["SpeedTrace", "ConstantSpeed", "PiecewiseSpeed", "RampSpeed",
-           "StraggleSpeed", "Network", "SimNode", "SimTask", "SimCluster",
+           "StraggleSpeed", "SimNode", "SimTask", "SimCluster",
            "BusyCursor"]
 
 
@@ -330,93 +331,6 @@ class StraggleSpeed(SpeedTrace):
 
 
 # ---------------------------------------------------------------------------
-# network
-# ---------------------------------------------------------------------------
-
-class Network:
-    """Latency + bandwidth message-cost model with per-node egress links.
-
-    ``transfer_time(nbytes) = latency + nbytes / bandwidth``; concurrent
-    sends from the same node additionally serialize on that node's egress
-    link (a NIC can only push one message at a time), which reproduces the
-    "boundary SDs grow with node count ⇒ slight roll-off" effect visible
-    in the paper's Fig. 13.
-
-    Intra-node messages are free and instantaneous: the paper's SDs on the
-    same node share memory.
-
-    This is the legacy single-tier model; the pluggable replacement is
-    :mod:`repro.amt.topology` (DESIGN.md substitution 5), whose
-    :class:`repro.amt.topology.FlatTopology` is bit-for-bit equivalent.
-    ``Network`` keeps the same duck-typed surface the cluster relies on
-    (``plan_send`` / ``reset`` / ``release_node`` / ``rack_of`` /
-    ``bytes_by_class``), so either may be passed as
-    ``SimCluster(network=...)``.
-    """
-
-    def __init__(self, latency: float = 5e-6, bandwidth: float = 1.25e9,
-                 serialize_egress: bool = True) -> None:
-        if latency < 0 or bandwidth <= 0:
-            raise ValueError("latency must be >= 0 and bandwidth > 0")
-        self.latency = float(latency)
-        self.bandwidth = float(bandwidth)
-        self.serialize_egress = serialize_egress
-        self._egress_free: Dict[int, float] = {}
-        self.bytes_sent = 0
-        self.messages_sent = 0
-        self.bytes_by_class: Dict[str, int] = {}
-
-    def wire_time(self, nbytes: int) -> float:
-        """Pure serialization time of ``nbytes`` on the wire."""
-        return nbytes / self.bandwidth
-
-    def plan_send(self, src: int, dst: int, nbytes: int, now: float) -> float:
-        """Account a message and return its virtual delivery time."""
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        if src == dst:
-            return now
-        self.bytes_sent += nbytes
-        self.messages_sent += 1
-        self.bytes_by_class["remote"] = (
-            self.bytes_by_class.get("remote", 0) + nbytes)
-        start = now
-        if self.serialize_egress:
-            start = max(now, self._egress_free.get(src, 0.0))
-            self._egress_free[src] = start + self.wire_time(nbytes)
-        return start + self.latency + self.wire_time(nbytes)
-
-    def reset(self) -> None:
-        """Clear all per-run state: egress backlog and byte counters.
-
-        The distributed solver calls this at run start, so a network
-        instance reused across successive solvers cannot delay the
-        second run's first sends with the previous run's egress
-        backlog.
-        """
-        self._egress_free.clear()
-        self.reset_stats()
-
-    def reset_stats(self) -> None:
-        """Zero the byte/message counters (egress state is kept)."""
-        self.bytes_sent = 0
-        self.messages_sent = 0
-        self.bytes_by_class = {}
-
-    def release_node(self, node: int) -> None:
-        """Drop ``node``'s egress reservation (the node failed).
-
-        Without this a same-id bookkeeping reuse would inherit the dead
-        node's ghost backlog and delay its first sends.
-        """
-        self._egress_free.pop(node, None)
-
-    def rack_of(self, node: int) -> int:
-        """Everything shares one rack in the flat model."""
-        return 0
-
-
-# ---------------------------------------------------------------------------
 # nodes and tasks
 # ---------------------------------------------------------------------------
 
@@ -603,7 +517,7 @@ class SimCluster:
 
     def __init__(self, num_nodes: int, cores_per_node: int = 1,
                  speeds: Optional[Sequence[SpeedTrace]] = None,
-                 network: Optional[Network] = None,
+                 network: Optional[Topology] = None,
                  agas: Optional[AddressSpace] = None,
                  wave_batching: Optional[bool] = None,
                  default_rate: float = 1.0,
@@ -636,7 +550,7 @@ class SimCluster:
         self.memory = memory
         self.agas = agas if agas is not None else AddressSpace()
         self.counters = CounterRegistry(self.agas)
-        self.network = network if network is not None else Network()
+        self.network = network if network is not None else FlatTopology()
         if speeds is None:
             speeds = [ConstantSpeed(self.default_rate)
                       for _ in range(num_nodes)]

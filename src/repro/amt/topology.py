@@ -3,17 +3,13 @@
 The paper's Fig. 13 roll-off comes from communication on a real Skylake
 cluster, where not every node pair is equidistant: SDs on the same node
 share memory, nodes in the same rack talk through the top-of-rack
-switch, and racks talk through (typically oversubscribed) uplinks.  The
-flat :class:`repro.amt.cluster.Network` collapses all of that into one
-latency + bandwidth link with per-node egress serialization, which
-makes rack locality, uplink oversubscription, and placement-aware
-balancing unexpressible.
+switch, and racks talk through (typically oversubscribed) uplinks.
 
-This module is the pluggable replacement (DESIGN.md substitution 5).  A
+This module models the network (DESIGN.md substitution 5).  A
 :class:`Topology` routes each ``src → dst`` message onto a list of
 :class:`LinkHop` entries; every traversed link charges its own latency
 and wire time and — when it is a FIFO link — serializes concurrent
-messages exactly like the flat model's egress link.  Messages are
+messages on it in arrival order.  Messages are
 attributed to a **route class** (``"remote"``, ``"intra_rack"``,
 ``"inter_rack"``, ``"wan"``) for the per-hop-class byte telemetry the
 experiment records carry (``RunRecord.bytes_by_class``); the classes
@@ -22,10 +18,10 @@ partition the traffic, so their byte counts always sum to
 
 Implementations:
 
-* :class:`FlatTopology` — one egress link per node, bit-for-bit
-  equivalent to the legacy :class:`repro.amt.cluster.Network` (same
-  arithmetic, same float operation order), so existing goldens and
-  committed benchmark records do not move;
+* :class:`FlatTopology` — the default: one latency + bandwidth egress
+  link per node, concurrent sends serialized on it (the seed network
+  model, whose arithmetic and float operation order it keeps, so
+  goldens and committed benchmark records do not move);
 * :class:`SwitchedTopology` — two-level: nodes grouped into racks,
   intra-rack messages pay only the NIC, inter-rack messages additionally
   traverse the source rack's uplink and the destination rack's downlink,
@@ -50,8 +46,7 @@ __all__ = ["LinkHop", "Topology", "FlatTopology", "SwitchedTopology",
            "HierarchicalTopology", "topology_names", "DEFAULT_LATENCY",
            "DEFAULT_BANDWIDTH"]
 
-#: The flat model's defaults (kept in sync with
-#: :class:`repro.amt.cluster.Network`): ~5 us MPI latency, 10 Gb/s NIC.
+#: The flat model's defaults: ~5 us MPI latency, 10 Gb/s NIC.
 DEFAULT_LATENCY = 5e-6
 DEFAULT_BANDWIDTH = 1.25e9
 
@@ -111,9 +106,8 @@ class Topology:
     pair) and :meth:`route_class` (the telemetry class the message's
     bytes are attributed to); :meth:`plan_send` walks the hops,
     serializing on FIFO links and accumulating latency + wire time, and
-    maintains the same counters as the legacy flat network
-    (``bytes_sent``, ``messages_sent``) plus the per-route-class byte
-    map ``bytes_by_class``.
+    maintains the ``bytes_sent`` / ``messages_sent`` counters plus the
+    per-route-class byte map ``bytes_by_class``.
 
     Link state is **per run**: :meth:`reset` clears both the FIFO
     backlog and the counters (the distributed solver calls it at run
@@ -166,8 +160,7 @@ class Topology:
     def plan_send(self, src: int, dst: int, nbytes: int, now: float) -> float:
         """Account a message and return its virtual delivery time.
 
-        Same contract as the legacy ``Network.plan_send``: self-sends
-        are free and uncounted (shared memory inside a node); every
+        Self-sends are free and uncounted (shared memory inside a node); every
         other message is charged per traversed link — FIFO links start
         no earlier than their previous message's wire time ends.
         """
@@ -251,11 +244,15 @@ class Topology:
 
 
 class FlatTopology(Topology):
-    """Single-tier topology: every pair one egress hop — the legacy model.
+    """Single-tier topology: every pair one egress hop — the default.
 
-    Bit-for-bit equivalent to :class:`repro.amt.cluster.Network`
-    (identical arithmetic and float operation order), so running under
-    the default topology reproduces all committed goldens exactly.
+    ``transfer = latency + nbytes / bandwidth``; with
+    ``serialize_egress`` concurrent sends from one node queue on its NIC
+    (it pushes one message at a time), which reproduces the "boundary
+    SDs grow with node count ⇒ slight roll-off" of the paper's Fig. 13.
+    Intra-node messages are free: SDs on one node share memory.  The
+    arithmetic and float operation order are the seed model's, so the
+    committed goldens reproduce exactly.
     """
 
     kind = "flat"

@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="network topology for the simulated cluster "
                              "(default: the scenario's choice, normally "
-                             "the legacy flat network; 'switched' and "
+                             "the flat network; 'switched' and "
                              "'hierarchical' use default rack parameters "
                              "— pin TopologySpec in a scenario for more)")
 
@@ -467,11 +467,19 @@ def _cmd_serve(args) -> int:
         spec = spec.replace(autoscale=AutoscaleSpec(
             min_nodes=max(1, spec.cluster.num_nodes // 2),
             max_nodes=2 * spec.cluster.num_nodes))
+    prior = os.environ.get("REPRO_DES_PROFILE")
     if args.profile:
         # the env flag (not a Simulator kwarg) so any nested DES the
         # run builds inherits it, matching bench_des_core's contract
         os.environ["REPRO_DES_PROFILE"] = "1"
-    rec, cluster = run_service_detailed(spec)
+    try:
+        rec, cluster = run_service_detailed(spec)
+    finally:
+        # restore, or every later Simulator() in this process profiles
+        if prior is None:
+            os.environ.pop("REPRO_DES_PROFILE", None)
+        else:
+            os.environ["REPRO_DES_PROFILE"] = prior
     summary = summarize_record(rec)
     if spec.autoscale is not None:
         fleet = (f"{spec.cluster.num_nodes} nodes, autoscaling in "
@@ -507,15 +515,13 @@ def _cmd_serve(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    from .amt.des import requested_queue
     from .core.strategies import requested_strategy
     from .costmodel import requested_cost_model
     from .solver.backends import requested_backend
     try:
         requested_backend()      # a bad REPRO_KERNEL_BACKEND (or
-        requested_strategy()     # REPRO_BALANCER, REPRO_DES_QUEUE,
-        requested_queue()        # REPRO_COST_MODEL) fails every
-        requested_cost_model()   # command; report it
+        requested_strategy()     # REPRO_BALANCER, REPRO_COST_MODEL)
+        requested_cost_model()   # fails every command; report it
     except ValueError as exc:  # without a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,10 @@
 """Pluggable load-balancing strategies.
 
 The paper's Algorithm 1 is one point in a design space; this package
-makes the balancing layer a first-class strategy subsystem mirroring
-the kernel-backend registry (:mod:`repro.solver.backends`): a shared
+makes the balancing layer a first-class strategy subsystem: a shared
 :class:`BalanceStrategy` interface with the measurement preamble
-(eqs. 8-10, integer targets, trigger threshold), a name registry with
+(eqs. 8-10, integer targets, trigger threshold), a name registry (the
+:class:`repro.registry.Registry` the kernel backends use) with
 an ``"auto"`` default and the ``REPRO_BALANCER`` environment override,
 and four implementations — ``tree`` (Algorithm 1), ``diffusion``,
 ``greedy``, and ``repartition``.  See DESIGN.md, *Balancing

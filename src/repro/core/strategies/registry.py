@@ -1,86 +1,30 @@
-"""Strategy registry, default resolution, and environment override.
+"""Balancing-strategy registry and the paper default behind ``"auto"``.
 
-Mirrors :mod:`repro.solver.backends.registry`.  Selection order for a
-requested strategy name:
-
-1. an explicit registered name (``"tree"``, ``"diffusion"``,
-   ``"greedy"``, ``"repartition"``) is honored as-is — unit tests and
-   ablations that name a strategy get exactly that strategy;
-2. ``"auto"`` consults the ``REPRO_BALANCER`` environment variable
-   (the CI matrix forces each strategy over the whole suite this way);
-3. otherwise ``"auto"`` resolves to the paper's algorithm
-   (:func:`auto_strategy_name` returns ``"tree"``).
+Selection follows :class:`repro.registry.Registry`: explicit names
+(``"tree"``, ``"diffusion"``, ``"greedy"``, ``"repartition"``) are
+honored as-is, ``"auto"`` consults ``REPRO_BALANCER`` and otherwise
+resolves to the paper's algorithm (:func:`auto_strategy_name` returns
+``"tree"``).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Type
-
 from ...mesh.subdomain import SubdomainGrid
+from ...registry import AUTO, Registry
 from .base import BalanceStrategy
 
-__all__ = ["AUTO", "ENV_VAR", "register_strategy", "strategy_names",
-           "get_strategy_class", "requested_strategy", "auto_strategy_name",
-           "make_strategy"]
+__all__ = ["AUTO", "ENV_VAR", "REGISTRY", "register_strategy",
+           "strategy_names", "get_strategy_class", "requested_strategy",
+           "auto_strategy_name", "make_strategy"]
 
-#: The selection sentinel: resolve by env var, then the paper default.
-AUTO = "auto"
 #: Environment variable forcing the resolution of ``"auto"`` requests.
 ENV_VAR = "REPRO_BALANCER"
 
-_STRATEGIES: Dict[str, Type[BalanceStrategy]] = {}
-
-
-def register_strategy(name: str):
-    """Class decorator: register a :class:`BalanceStrategy` under ``name``."""
-    def deco(cls: Type[BalanceStrategy]) -> Type[BalanceStrategy]:
-        if name == AUTO:
-            raise ValueError(f"{AUTO!r} is reserved for the default")
-        if name in _STRATEGIES:
-            raise ValueError(f"strategy {name!r} already registered")
-        cls.name = name
-        _STRATEGIES[name] = cls
-        return cls
-    return deco
-
-
-def strategy_names() -> List[str]:
-    """All registered strategy names, sorted (``auto`` excluded)."""
-    return sorted(_STRATEGIES)
-
-
-def get_strategy_class(name: str) -> Type[BalanceStrategy]:
-    if name not in _STRATEGIES:
-        raise KeyError(f"unknown balancing strategy {name!r}; "
-                       f"known: {', '.join(strategy_names())}")
-    return _STRATEGIES[name]
-
-
-def requested_strategy(name: str = AUTO) -> str:
-    """Validate ``name`` and apply the env override to ``auto`` requests.
-
-    Returns either a registered strategy name or ``"auto"`` (still to
-    be resolved by :func:`auto_strategy_name`).  Explicit names win
-    over the environment: forcing via ``REPRO_BALANCER`` reroutes every
-    default-configured run without silently rewriting tests and
-    ablations that pin a specific strategy.
-    """
-    if name == AUTO:
-        forced = os.environ.get(ENV_VAR, "").strip()
-        if forced and forced != AUTO:  # =auto means "no override"
-            if forced not in _STRATEGIES:
-                raise ValueError(
-                    f"{ENV_VAR}={forced!r} names an unknown balancing "
-                    f"strategy; known: {', '.join(strategy_names())} "
-                    f"(or {AUTO!r})")
-            return forced
-        return AUTO
-    if name not in _STRATEGIES:
-        raise ValueError(f"unknown balancing strategy {name!r}; "
-                         f"known: {', '.join(strategy_names())} "
-                         f"(or {AUTO!r})")
-    return name
+REGISTRY = Registry("balancing strategy", ENV_VAR)
+register_strategy = REGISTRY.register
+strategy_names = REGISTRY.names
+get_strategy_class = REGISTRY.get
+requested_strategy = REGISTRY.requested
 
 
 def auto_strategy_name() -> str:

@@ -3,8 +3,8 @@
 ``flat`` reproduces the seed's ``count * flops * work_factor``
 arithmetic bit for bit and is the default; ``hierarchy`` prices each
 task against a per-node memory hierarchy through offline reuse-distance
-profiles of the kernel backends.  Selection mirrors the kernel-backend
-registry: explicit names win, ``"auto"`` honors the
+profiles of the kernel backends.  Selection goes through the shared
+:class:`repro.registry.Registry`: explicit names win, ``"auto"`` honors the
 ``REPRO_COST_MODEL`` environment override, and absent both it resolves
 to ``flat``.
 """

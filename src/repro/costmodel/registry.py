@@ -1,86 +1,32 @@
-"""Cost-model registry, default, and environment override.
+"""Cost-model registry and the flat default behind ``"auto"``.
 
-Selection order for a requested cost-model name, mirroring the kernel
-backend and balancer-strategy registries:
-
-1. an explicit registered name (``"flat"``, ``"hierarchy"``) is honored
-   as-is — tests and ablations that pin a model get exactly that model;
-2. ``"auto"`` consults the ``REPRO_COST_MODEL`` environment variable
-   (the CI ``costmodel-smoke`` job forces ``hierarchy`` over the whole
-   suite this way; ``=auto`` means "no override");
-3. otherwise ``"auto"`` resolves to ``"flat"`` — the seed arithmetic is
-   the default, so every pre-existing scenario and golden is unchanged.
+Selection follows :class:`repro.registry.Registry`: explicit names
+(``"flat"``, ``"hierarchy"``) are honored as-is, ``"auto"`` consults
+``REPRO_COST_MODEL`` (the CI ``costmodel-smoke`` job forces
+``hierarchy`` over the whole suite this way) and otherwise resolves to
+``"flat"`` — the seed arithmetic is the default, so every pre-existing
+scenario and golden is unchanged.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Type
-
+from ..registry import AUTO, Registry
 from .base import CostModel
 
-__all__ = ["AUTO", "DEFAULT", "ENV_VAR", "register_cost_model",
+__all__ = ["AUTO", "DEFAULT", "ENV_VAR", "REGISTRY", "register_cost_model",
            "cost_model_names", "get_cost_model_class",
            "requested_cost_model", "make_cost_model"]
 
-#: The selection sentinel: resolve by env var, then the flat default.
-AUTO = "auto"
 #: What ``"auto"`` resolves to absent an override: the seed arithmetic.
 DEFAULT = "flat"
 #: Environment variable forcing the resolution of ``"auto"`` requests.
 ENV_VAR = "REPRO_COST_MODEL"
 
-_MODELS: Dict[str, Type[CostModel]] = {}
-
-
-def register_cost_model(name: str):
-    """Class decorator: register a :class:`CostModel` under ``name``."""
-    def deco(cls: Type[CostModel]) -> Type[CostModel]:
-        if name == AUTO:
-            raise ValueError(f"{AUTO!r} is reserved for the default")
-        if name in _MODELS:
-            raise ValueError(f"cost model {name!r} already registered")
-        cls.name = name
-        _MODELS[name] = cls
-        return cls
-    return deco
-
-
-def cost_model_names() -> List[str]:
-    """All registered cost-model names, sorted (``auto`` excluded)."""
-    return sorted(_MODELS)
-
-
-def get_cost_model_class(name: str) -> Type[CostModel]:
-    if name not in _MODELS:
-        raise KeyError(f"unknown cost model {name!r}; "
-                       f"known: {', '.join(cost_model_names())}")
-    return _MODELS[name]
-
-
-def requested_cost_model(name: str = AUTO) -> str:
-    """Validate ``name`` and apply the env override to ``auto`` requests.
-
-    Returns either a registered cost-model name or ``"auto"`` (still to
-    be resolved to the flat default).  Explicit names win over the
-    environment: forcing via ``REPRO_COST_MODEL`` reroutes every
-    default-configured run without silently rewriting tests and
-    ablations that pin a specific model.
-    """
-    if name == AUTO:
-        forced = os.environ.get(ENV_VAR, "").strip()
-        if forced and forced != AUTO:  # =auto means "no override"
-            if forced not in _MODELS:
-                raise ValueError(
-                    f"{ENV_VAR}={forced!r} names an unknown cost model; "
-                    f"known: {', '.join(cost_model_names())} (or {AUTO!r})")
-            return forced
-        return AUTO
-    if name not in _MODELS:
-        raise ValueError(f"unknown cost model {name!r}; "
-                         f"known: {', '.join(cost_model_names())} "
-                         f"(or {AUTO!r})")
-    return name
+REGISTRY = Registry("cost model", ENV_VAR)
+register_cost_model = REGISTRY.register
+cost_model_names = REGISTRY.names
+get_cost_model_class = REGISTRY.get
+requested_cost_model = REGISTRY.requested
 
 
 def make_cost_model(name: str = AUTO, memory=None) -> CostModel:

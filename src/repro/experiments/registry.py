@@ -640,7 +640,7 @@ def scale_extreme(mesh: int = 2048, sd_axis: int = 64, nodes: int = 512,
     block layout, numerics off and no spawn overhead — millions of
     ghost-delivery and task-completion events per run, all schedule.
     This is the configuration ``benchmarks/bench_des_core.py`` measures
-    events/sec on (queue backends x wave batching x plan cache); scale
+    events/sec on (per-event loop vs wave batching); scale
     it down for smoke tests with ``mesh=512, sd_axis=16, nodes=32``.
     """
     return ScenarioSpec(

@@ -217,8 +217,8 @@ class TopologySpec:
     ``kind`` selects the model from :mod:`repro.amt.topology`:
 
     ``flat``
-        The legacy single-tier model: one egress link per node,
-        bit-for-bit equivalent to :class:`repro.amt.cluster.Network`.
+        The default single-tier model: one latency + bandwidth egress
+        link per node (:class:`repro.amt.topology.FlatTopology`).
     ``switched``
         Two-level racks (``rack = node // rack_size``) with
         oversubscribed uplinks: inter-rack messages additionally
@@ -492,13 +492,13 @@ class ClusterSpec:
     ``drift`` ramps every node linearly to new rates over a window
     (mutually exclusive with ``interference`` — both rewrite the trace).
     ``latency``/``bandwidth`` of ``None`` use the :class:`repro.amt
-    .cluster.Network` defaults.  ``faults`` overlays a deterministic
+    .topology.FlatTopology` defaults.  ``faults`` overlays a deterministic
     churn schedule (failures/joins/straggles — see :class:`FaultSpec`);
     straggle windows compose onto whatever speed trace the other fields
     produce, so faults combine freely with static heterogeneity, drift,
     and interference.  ``topology`` replaces the flat network with a
     rack-aware model (see :class:`TopologySpec`); ``None`` keeps the
-    legacy flat network, and ``latency``/``bandwidth`` then feed the
+    flat network, and ``latency``/``bandwidth`` then feed the
     topology's NIC tier when it leaves its own unset.  ``memory``
     declares the per-node cache ladder shape-aware cost models price
     tasks against (see :class:`MemorySpec`); ``None`` leaves the
@@ -604,21 +604,14 @@ class ClusterSpec:
     def build_network(self):
         """A fresh network model (egress/link state must not leak).
 
-        The legacy flat :class:`Network` when no topology is declared;
-        otherwise the :class:`repro.amt.topology.Topology` this spec's
-        :class:`TopologySpec` describes, with the cluster's
-        ``latency``/``bandwidth`` as the NIC-tier defaults.
+        The :class:`repro.amt.topology.Topology` this spec's
+        :class:`TopologySpec` describes (flat when none is declared),
+        with the cluster's ``latency``/``bandwidth`` as the NIC-tier
+        defaults.
         """
-        if self.topology is not None:
-            return self.topology.build(self.num_nodes, self.latency,
-                                       self.bandwidth)
-        from ..amt.cluster import Network
-        kwargs = {}
-        if self.latency is not None:
-            kwargs["latency"] = self.latency
-        if self.bandwidth is not None:
-            kwargs["bandwidth"] = self.bandwidth
-        return Network(**kwargs)
+        topology = (self.topology if self.topology is not None
+                    else TopologySpec())
+        return topology.build(self.num_nodes, self.latency, self.bandwidth)
 
     def build_memory(self):
         """The runtime :class:`repro.costmodel.MemoryHierarchy`, or
@@ -983,8 +976,8 @@ class ScenarioSpec:
 
         ``topology`` may be a :class:`TopologySpec`, a kind name
         (``"flat"``, ``"switched"``, ``"hierarchical"`` — built with
-        default rack parameters), or ``None`` to restore the legacy
-        flat network.
+        default rack parameters), or ``None`` to restore the flat
+        network.
         """
         if isinstance(topology, str):
             topology = TopologySpec(kind=topology)

@@ -1,84 +1,30 @@
-"""Backend registry, selection heuristic, and environment override.
+"""Kernel-backend registry and the radius heuristic behind ``"auto"``.
 
-Selection order for a requested backend name:
-
-1. an explicit registered name (``"direct"``, ``"fft"``, ``"sparse"``)
-   is honored as-is — unit tests and ablations that name a backend get
-   exactly that backend;
-2. ``"auto"`` consults the ``REPRO_KERNEL_BACKEND`` environment
-   variable (the CI matrix forces each backend over the whole suite
-   this way);
-3. otherwise ``"auto"`` resolves by the measured heuristic of
-   :func:`auto_backend_name` (see DESIGN.md, *Kernel backends*).
+Selection follows :class:`repro.registry.Registry`: explicit names
+(``"direct"``, ``"fft"``, ``"sparse"``) are honored as-is, ``"auto"``
+consults ``REPRO_KERNEL_BACKEND`` and otherwise resolves by the measured
+heuristic of :func:`auto_backend_name` (see DESIGN.md, *Kernel
+backends*).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Type
-
 from ...mesh.stencil import NonlocalStencil
+from ...registry import AUTO, Registry
 from .base import KernelBackend
 
-__all__ = ["AUTO", "ENV_VAR", "register_backend", "backend_names",
-           "get_backend_class", "requested_backend", "auto_backend_name",
-           "make_backend"]
+__all__ = ["AUTO", "ENV_VAR", "REGISTRY", "register_backend",
+           "backend_names", "get_backend_class", "requested_backend",
+           "auto_backend_name", "make_backend"]
 
-#: The selection sentinel: resolve by env var, then heuristic.
-AUTO = "auto"
 #: Environment variable forcing the resolution of ``"auto"`` requests.
 ENV_VAR = "REPRO_KERNEL_BACKEND"
 
-_BACKENDS: Dict[str, Type[KernelBackend]] = {}
-
-
-def register_backend(name: str):
-    """Class decorator: register a :class:`KernelBackend` under ``name``."""
-    def deco(cls: Type[KernelBackend]) -> Type[KernelBackend]:
-        if name == AUTO:
-            raise ValueError(f"{AUTO!r} is reserved for the heuristic")
-        if name in _BACKENDS:
-            raise ValueError(f"backend {name!r} already registered")
-        cls.name = name
-        _BACKENDS[name] = cls
-        return cls
-    return deco
-
-
-def backend_names() -> List[str]:
-    """All registered backend names, sorted (``auto`` excluded)."""
-    return sorted(_BACKENDS)
-
-
-def get_backend_class(name: str) -> Type[KernelBackend]:
-    if name not in _BACKENDS:
-        raise KeyError(f"unknown kernel backend {name!r}; "
-                       f"known: {', '.join(backend_names())}")
-    return _BACKENDS[name]
-
-
-def requested_backend(name: str = AUTO) -> str:
-    """Validate ``name`` and apply the env override to ``auto`` requests.
-
-    Returns either a registered backend name or ``"auto"`` (still to be
-    resolved by the heuristic).  Explicit names win over the
-    environment: forcing via ``REPRO_KERNEL_BACKEND`` reroutes every
-    default-configured run without silently rewriting tests and
-    ablations that pin a specific backend.
-    """
-    if name == AUTO:
-        forced = os.environ.get(ENV_VAR, "").strip()
-        if forced and forced != AUTO:  # =auto means "no override"
-            if forced not in _BACKENDS:
-                raise ValueError(
-                    f"{ENV_VAR}={forced!r} names an unknown backend; "
-                    f"known: {', '.join(backend_names())} (or {AUTO!r})")
-            return forced
-        return AUTO
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r}; "
-                         f"known: {', '.join(backend_names())} (or {AUTO!r})")
-    return name
+REGISTRY = Registry("kernel backend", ENV_VAR)
+register_backend = REGISTRY.register
+backend_names = REGISTRY.names
+get_backend_class = REGISTRY.get
+requested_backend = REGISTRY.requested
 
 
 def auto_backend_name(radius: int) -> str:

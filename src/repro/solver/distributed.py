@@ -23,13 +23,13 @@ scaling studies where only the schedule matters.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..amt.cluster import (BusyCursor, ConstantSpeed, Network, SimCluster,
-                           SimTask, SpeedTrace, StraggleSpeed)
+from ..amt.cluster import (BusyCursor, ConstantSpeed, SimCluster, SimTask,
+                           SpeedTrace, StraggleSpeed)
+from ..amt.topology import Topology
 from ..amt.faults import ChurnEvent, FaultSchedule, RecoveryEvent
 from ..amt.future import Future, local_when_all
 from ..core.balancer import BalanceResult, LoadBalancer
@@ -150,9 +150,9 @@ class DistributedSolver:
     cores_per_node, speeds, network:
         Simulated-cluster configuration (see :class:`repro.amt.cluster
         .SimCluster`); ``speeds`` in DP-update-flops per virtual second.
-        ``network`` may be the legacy flat :class:`repro.amt.cluster
-        .Network` or any :class:`repro.amt.topology.Topology` (rack
-        hierarchies, oversubscribed uplinks, WAN joiners); ghost,
+        ``network`` may be any :class:`repro.amt.topology.Topology`
+        (flat by default; rack hierarchies, oversubscribed uplinks, WAN
+        joiners); ghost,
         migration, and recovery transfers are all routed through it.
         Its link state is reset at the start of every :meth:`run`.
     source, dt:
@@ -232,7 +232,7 @@ class DistributedSolver:
                  sd_grid: SubdomainGrid, parts: Sequence[int],
                  num_nodes: int, cores_per_node: int = 1,
                  speeds: Optional[Sequence[SpeedTrace]] = None,
-                 network: Optional[Network] = None,
+                 network: Optional[Topology] = None,
                  source: Optional[Callable[[float], np.ndarray]] = None,
                  dt: Optional[float] = None,
                  work_factors: Optional[Sequence[float]] = None,
@@ -315,15 +315,8 @@ class DistributedSolver:
         self.cluster = SimCluster(num_nodes, cores_per_node=cores_per_node,
                                   speeds=speeds, network=network,
                                   cost_model=self.cost_model, memory=memory)
-        #: balancer busy-time polling: ``cursor`` (default) re-reads
-        #: only nodes whose counters changed since the last poll,
-        #: ``sweep`` restores the full per-node sweep (the parity
-        #: baseline) — both produce bit-identical measurements
-        self._poll_mode = os.environ.get("REPRO_BALANCER_POLL", "cursor")
-        if self._poll_mode not in ("cursor", "sweep"):
-            raise ValueError(
-                f"REPRO_BALANCER_POLL must be 'cursor' or 'sweep', "
-                f"got {self._poll_mode!r}")
+        #: balancer busy-time polls re-read only nodes whose counters
+        #: changed since the last poll
         self._busy_cursor = BusyCursor()
         if faults is not None:
             # fault handlers poll busy_time at arbitrary mid-step times;
@@ -332,11 +325,8 @@ class DistributedSolver:
             # keep elastic runs on the per-event path
             self.cluster.wave_batching = False
         #: compiled step plan (``None`` until built / after ownership
-        #: changes); ``REPRO_DES_PLANCACHE=0`` rebuilds it every step,
-        #: restoring the uncached cost profile for benchmarking
+        #: changes)
         self._plan: Optional[_StepPlan] = None
-        self._plan_cache = os.environ.get(
-            "REPRO_DES_PLANCACHE", "1") != "0"
         self._faults_armed = False
         self._recovery_futs: Dict[int, Future] = {}
         self.domain_mask = domain_mask
@@ -484,14 +474,11 @@ class DistributedSolver:
     def _poll_busy(self) -> List[float]:
         """Per-node busy time since the last counter reset.
 
-        ``cursor`` mode re-reads only nodes whose busy counters moved
-        since the previous poll (``SimCluster.poll_busy``); ``sweep``
-        restores the full O(nodes) sweep.  Both return bit-identical
-        values — an untouched counter's cached float *is* its value.
+        Re-reads only nodes whose busy counters moved since the previous
+        poll (``SimCluster.poll_busy``); the values are bit-identical to
+        a full per-node sweep — an untouched counter's cached float *is*
+        its value.
         """
-        if self._poll_mode == "sweep":
-            return [self.cluster.busy_time(n)
-                    for n in range(len(self.cluster.nodes))]
         return self.cluster.poll_busy(self._busy_cursor)
 
     def _build_plan(self) -> _StepPlan:
@@ -537,9 +524,7 @@ class DistributedSolver:
         num_nodes = len(self.cluster.nodes)
         plan = self._plan
         if plan is None:
-            plan = self._build_plan()
-            if self._plan_cache:
-                self._plan = plan
+            plan = self._plan = self._build_plan()
         t = step * self.dt
         b = None
         if self.compute_numerics and self.source is not None:

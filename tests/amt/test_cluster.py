@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.amt.cluster import (ConstantSpeed, Network, PiecewiseSpeed,
-                               RampSpeed, SimCluster)
+from repro.amt.cluster import (ConstantSpeed, PiecewiseSpeed, RampSpeed,
+                               SimCluster)
 from repro.amt.des import SimulationError
+from repro.amt.topology import FlatTopology
 
 
 class TestSpeedTraces:
@@ -133,29 +134,30 @@ class TestRampSpeed:
 
 class TestNetwork:
     def test_self_send_is_free(self):
-        net = Network(latency=1.0, bandwidth=1.0)
+        net = FlatTopology(latency=1.0, bandwidth=1.0)
         assert net.plan_send(0, 0, 10_000, now=5.0) == 5.0
         assert net.bytes_sent == 0
 
     def test_latency_plus_wire_time(self):
-        net = Network(latency=2.0, bandwidth=100.0, serialize_egress=False)
+        net = FlatTopology(latency=2.0, bandwidth=100.0,
+                           serialize_egress=False)
         assert net.plan_send(0, 1, 500, now=0.0) == pytest.approx(2.0 + 5.0)
 
     def test_egress_serialization(self):
-        net = Network(latency=0.0, bandwidth=100.0, serialize_egress=True)
+        net = FlatTopology(latency=0.0, bandwidth=100.0, serialize_egress=True)
         t1 = net.plan_send(0, 1, 100, now=0.0)  # wire 1s -> arrives 1.0
         t2 = net.plan_send(0, 2, 100, now=0.0)  # waits for egress -> 2.0
         assert t1 == pytest.approx(1.0)
         assert t2 == pytest.approx(2.0)
 
     def test_different_sources_do_not_serialize(self):
-        net = Network(latency=0.0, bandwidth=100.0, serialize_egress=True)
+        net = FlatTopology(latency=0.0, bandwidth=100.0, serialize_egress=True)
         t1 = net.plan_send(0, 1, 100, now=0.0)
         t2 = net.plan_send(1, 0, 100, now=0.0)
         assert t1 == t2 == pytest.approx(1.0)
 
     def test_stats_accumulate(self):
-        net = Network()
+        net = FlatTopology()
         net.plan_send(0, 1, 100, now=0.0)
         net.plan_send(1, 0, 50, now=0.0)
         assert net.bytes_sent == 150
@@ -165,14 +167,26 @@ class TestNetwork:
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            Network(latency=-1.0)
+            FlatTopology(latency=-1.0)
         with pytest.raises(ValueError):
-            Network(bandwidth=0.0)
+            FlatTopology(bandwidth=0.0)
         with pytest.raises(ValueError):
-            Network().plan_send(0, 1, -5, now=0.0)
+            FlatTopology().plan_send(0, 1, -5, now=0.0)
 
 
 class TestSimCluster:
+    def test_default_network_is_a_private_flat_topology(self):
+        """Each cluster gets its own flat model, so one run's egress
+        backlog never delays another's sends."""
+        a, b = SimCluster(num_nodes=2), SimCluster(num_nodes=2)
+        assert type(a.network) is FlatTopology
+        assert a.network is not b.network
+        first = a.network.plan_send(0, 1, 10_000_000, 0.0)
+        assert b.network.plan_send(0, 1, 10_000_000, 0.0) == first
+        fresh = FlatTopology()
+        assert (a.network.latency, a.network.bandwidth) == (
+            fresh.latency, fresh.bandwidth)
+
     def test_single_task_runs_for_work_over_rate(self):
         cluster = SimCluster(num_nodes=1, speeds=[ConstantSpeed(2.0)])
         fut = cluster.submit(0, work=10.0)
@@ -233,7 +247,8 @@ class TestSimCluster:
         assert second.is_ready()
 
     def test_message_delivery_time(self):
-        net = Network(latency=1.0, bandwidth=100.0, serialize_egress=False)
+        net = FlatTopology(latency=1.0, bandwidth=100.0,
+                           serialize_egress=False)
         cluster = SimCluster(num_nodes=2, network=net)
         msg = cluster.send(0, 1, nbytes=200, payload=[1, 2, 3])
         cluster.run()
@@ -241,7 +256,7 @@ class TestSimCluster:
         assert msg.get() == [1, 2, 3]
 
     def test_task_waiting_on_message(self):
-        net = Network(latency=2.0, bandwidth=1e9, serialize_egress=False)
+        net = FlatTopology(latency=2.0, bandwidth=1e9, serialize_egress=False)
         cluster = SimCluster(num_nodes=2, network=net)
         msg = cluster.send(0, 1, nbytes=0, payload="ghost")
         fut = cluster.submit(1, work=1.0, deps=[msg])

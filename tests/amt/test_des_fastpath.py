@@ -1,11 +1,10 @@
-"""DES fast-path contracts: queue backends, run controls, profiling.
+"""DES fast-path contracts: pop order, run controls, profiling.
 
-The bucketed calendar queue must pop events in *exactly* the order of
-the seed's binary heap — ``(time, priority, seq)`` tie-breaking is the
-determinism contract everything downstream (goldens, benches, the
-paper figures) rests on.  The hypothesis suites here drive both
-backends (and ``auto`` promotion) with adversarial schedules, including
-cancellations and events scheduled from inside actions.
+The queue must pop events in exactly ``(time, priority, seq)`` order —
+``seq`` is insertion order, and that tie-breaking is the determinism
+contract everything downstream (goldens, benches, the paper figures)
+rests on.  The hypothesis suites drive it with adversarial schedules,
+including cancellations and events scheduled from inside actions.
 """
 
 import pytest
@@ -14,8 +13,6 @@ from hypothesis import strategies as st
 
 from repro.amt.des import SimulationError, Simulator
 
-BACKENDS = ("heap", "bucket", "auto")
-
 #: (time, priority) pairs with heavy collisions so tie-breaking matters
 _specs = st.lists(
     st.tuples(st.floats(min_value=0, max_value=100, allow_nan=False),
@@ -23,108 +20,103 @@ _specs = st.lists(
     max_size=120)
 
 
-def _pop_order(queue, specs, cancel_every=0):
-    """Fire a schedule on one backend; return the observed event order."""
-    sim = Simulator(queue=queue)
-    order = []
-    events = []
-    for idx, (t, prio) in enumerate(specs):
-        events.append(
-            sim.schedule(t, lambda i=idx: order.append(i), priority=prio))
-    if cancel_every:
-        for ev in events[::cancel_every]:
-            ev.cancel()
-    sim.run()
-    return order, sim.now, sim.events_processed
+def _schedule(sim, fired, t, priority=0):
+    """Schedule an event that records its own ``(time, priority, seq)``."""
+    ev = sim.schedule(t, lambda: fired.append(ev._key()), priority=priority)
+    return ev
 
 
-class TestQueueEquivalence:
+class TestPopOrder:
     @given(_specs)
     @settings(max_examples=80, deadline=None)
-    def test_bucket_pops_in_heap_order(self, specs):
-        heap = _pop_order("heap", specs)
-        assert _pop_order("bucket", specs) == heap
-        assert _pop_order("auto", specs) == heap
+    def test_pops_in_key_order(self, specs):
+        sim, fired = Simulator(), []
+        events = [_schedule(sim, fired, t, prio) for t, prio in specs]
+        sim.run()
+        assert fired == sorted(ev._key() for ev in events)
+        assert sim.events_processed == len(specs)
 
     @given(_specs, st.integers(min_value=2, max_value=5))
     @settings(max_examples=80, deadline=None)
-    def test_equivalent_under_cancellation(self, specs, cancel_every):
-        heap = _pop_order("heap", specs, cancel_every)
-        assert _pop_order("bucket", specs, cancel_every) == heap
-        assert _pop_order("auto", specs, cancel_every) == heap
+    def test_key_order_under_cancellation(self, specs, cancel_every):
+        sim, fired = Simulator(), []
+        events = [_schedule(sim, fired, t, prio) for t, prio in specs]
+        for ev in events[::cancel_every]:
+            ev.cancel()
+        sim.run()
+        assert fired == sorted(ev._key() for ev in events
+                               if not ev.cancelled)
 
     @given(st.lists(st.floats(min_value=0, max_value=10, allow_nan=False),
                     max_size=40))
     @settings(max_examples=40, deadline=None)
-    def test_equivalent_with_nested_scheduling(self, times):
-        """Actions scheduling more events exercise mid-run inserts —
-        the calendar queue must file them into already-drained regions
-        correctly (they land at or after ``now`` by construction)."""
-        def run(queue):
-            sim = Simulator(queue=queue)
-            order = []
+    def test_key_order_with_nested_scheduling(self, times):
+        """Actions scheduling more events exercise mid-run inserts; they
+        land at or after ``now`` with a later ``seq``, so the popped keys
+        stay sorted."""
+        sim, fired = Simulator(), []
 
-            def fire(i, t):
-                order.append(i)
-                sim.schedule_after(t % 3.0, lambda: order.append(-i - 1))
+        def spawn(t):
+            def fire():
+                fired.append(ev._key())
+                child = sim.schedule_after(
+                    t % 3.0, lambda: fired.append(child._key()))
+            ev = sim.schedule(t, fire)
 
-            for idx, t in enumerate(times):
-                sim.schedule(t, lambda i=idx, tt=t: fire(i, tt))
-            sim.run()
-            return order
-
-        assert run("bucket") == run("heap")
-
-    def test_identical_time_storm_shares_a_bucket(self):
-        """Thousands of same-time events: bucket width degenerates but
-        order must still follow (priority, seq)."""
-        def run(queue):
-            sim = Simulator(queue=queue)
-            order = []
-            for i in range(3000):
-                sim.schedule(1.0, lambda i=i: order.append(i),
-                             priority=i % 3 - 1)
-            sim.run()
-            return order
-
-        assert run("bucket") == run("heap")
-
-    def test_auto_promotes_to_bucket_at_scale(self):
-        sim = Simulator(queue="auto")
-        assert sim._queue.kind == "heap"
-        fired = []
-        for i in range(5000):
-            sim.schedule(float(i % 97), lambda i=i: fired.append(i))
-        assert sim._queue.kind == "bucket"
+        for t in times:
+            spawn(t)
         sim.run()
-        assert len(fired) == 5000
-        ref = Simulator(queue="heap")
-        expect = []
-        for i in range(5000):
-            ref.schedule(float(i % 97), lambda i=i: expect.append(i))
-        ref.run()
-        assert fired == expect
+        assert len(fired) == 2 * len(times)
+        assert fired == sorted(fired)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError, match="queue backend"):
-            Simulator(queue="splay")
+    def test_identical_time_storm(self):
+        """Thousands of same-time events order by (priority, seq)."""
+        sim, fired = Simulator(), []
+        events = [_schedule(sim, fired, 1.0, i % 3 - 1) for i in range(3000)]
+        sim.run()
+        assert fired == sorted(ev._key() for ev in events)
 
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DES_QUEUE", "bucket")
-        assert Simulator().queue_kind == "bucket"
-        monkeypatch.setenv("REPRO_DES_QUEUE", "heap")
-        assert Simulator().queue_kind == "heap"
-        monkeypatch.delenv("REPRO_DES_QUEUE")
-        assert Simulator().queue_kind == "auto"
+    @given(_specs, st.integers(min_value=2, max_value=5))
+    @settings(max_examples=40, deadline=None)
+    def test_step_pops_in_key_order(self, specs, cancel_every):
+        """``step()`` drives the queue outside ``run``'s loop; it must
+        see the same order and skip the same cancelled entries."""
+        sim, fired = Simulator(), []
+        events = [_schedule(sim, fired, t, prio) for t, prio in specs]
+        for ev in events[::cancel_every]:
+            ev.cancel()
+        while sim.step():
+            assert sim.now == fired[-1][0]
+        assert fired == sorted(ev._key() for ev in events
+                               if not ev.cancelled)
+        assert sim.pending() == 0
+
+    def test_peek_time_skips_cancelled_heads(self):
+        sim = Simulator()
+        early = [sim.schedule(t, lambda: None) for t in (1.0, 2.0)]
+        sim.schedule(3.0, lambda: None)
+        assert sim.peek_time() == 1.0
+        for ev in early:
+            ev.cancel()
+        assert sim.peek_time() == 3.0
+        assert sim.pending() == 1
+        sim.run()
+        assert sim.peek_time() is None
+        assert sim.events_processed == 1
 
 
-@pytest.mark.parametrize("queue", BACKENDS)
 class TestRunControlEdges:
-    def test_max_events_raises_before_popping(self, queue):
+    """Run controls behave the same whether or not the opt-in profiler
+    wraps each action (``_execute`` has a separate timed path)."""
+
+    @pytest.fixture(params=[False, True], ids=["plain", "profiled"])
+    def sim(self, request):
+        return Simulator(profile=request.param)
+
+    def test_max_events_raises_before_popping(self, sim):
         """The guard fires *before* the offending event is popped or
         counted, so the schedule can resume exactly where it stopped
         (regression: the seed popped and counted event N+1 first)."""
-        sim = Simulator(queue=queue)
         fired = []
         for t in (1.0, 2.0, 3.0):
             sim.schedule(t, lambda t=t: fired.append(t))
@@ -137,24 +129,21 @@ class TestRunControlEdges:
         assert sim.run() == 3.0
         assert fired == [1.0, 2.0, 3.0]
 
-    def test_max_events_exact_budget_completes(self, queue):
-        sim = Simulator(queue=queue)
+    def test_max_events_exact_budget_completes(self, sim):
         for t in (1.0, 2.0):
             sim.schedule(t, lambda: None)
         assert sim.run(max_events=2) == 2.0
 
-    def test_event_exactly_at_until_fires(self, queue):
-        sim = Simulator(queue=queue)
+    def test_event_exactly_at_until_fires(self, sim):
         fired = []
         sim.schedule(5.0, lambda: fired.append("at"))
         sim.schedule(5.0 + 1e-12, lambda: fired.append("after"))
         assert sim.run(until=5.0) == 5.0
         assert fired == ["at"]
 
-    def test_cancelled_head_at_until_boundary(self, queue):
+    def test_cancelled_head_at_until_boundary(self, sim):
         """A cancelled event at the boundary is skipped, not fired, and
         must not stop the clock short of ``until``."""
-        sim = Simulator(queue=queue)
         fired = []
         ev = sim.schedule(5.0, lambda: fired.append("dead"))
         sim.schedule(9.0, lambda: fired.append("late"))
@@ -163,22 +152,19 @@ class TestRunControlEdges:
         assert fired == []
         assert sim.pending() == 1
 
-    def test_until_in_past_leaves_clock(self, queue):
-        sim = Simulator(queue=queue)
+    def test_until_in_past_leaves_clock(self, sim):
         sim.schedule(4.0, lambda: None)
         sim.run()
         assert sim.run(until=1.0) == 4.0
         assert sim.now == 4.0
 
-    def test_until_with_empty_queue_advances_clock(self, queue):
+    def test_until_with_empty_queue_advances_clock(self, sim):
         # the drained-queue path lands on `until` just like the
         # later-event path does — empty windows still tile virtual time
-        sim = Simulator(queue=queue)
         assert sim.run(until=3.0) == 3.0
         assert sim.run(until=2.0) == 3.0  # never backwards
 
-    def test_pending_is_live_count(self, queue):
-        sim = Simulator(queue=queue)
+    def test_pending_is_live_count(self, sim):
         events = [sim.schedule(float(i), lambda: None) for i in range(10)]
         assert sim.pending() == 10
         for ev in events[::2]:
@@ -189,10 +175,9 @@ class TestRunControlEdges:
         sim.run()
         assert sim.pending() == 0
 
-    def test_mass_cancellation_compacts(self, queue):
+    def test_mass_cancellation_compacts(self, sim):
         """Cancelling nearly everything triggers lazy compaction; the
         survivors still fire in order."""
-        sim = Simulator(queue=queue)
         fired = []
         events = [sim.schedule(float(i), lambda i=i: fired.append(i))
                   for i in range(4000)]

@@ -1,12 +1,12 @@
-"""Topology models: routing, contention, telemetry, legacy equivalence.
+"""Topology models: routing, contention, telemetry, seed-model equivalence.
 
 Three layers:
 
 * unit tests per topology (routes, rack maps, FIFO contention on
   NICs/uplinks/WAN links, state management);
 * hypothesis property tests over random message schedules — the
-  :class:`FlatTopology` must reproduce the legacy ``Network`` delivery
-  times **bit-for-bit**, every topology's per-route-class byte
+  :class:`FlatTopology` must reproduce the seed network model's
+  delivery times **bit-for-bit**, every topology's per-route-class byte
   telemetry must partition ``bytes_sent`` exactly, and replaying a
   schedule on a fresh instance must be deterministic;
 * regression tests for the network-state bugfixes: per-run link-state
@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.amt.cluster import Network
 from repro.amt.topology import (FlatTopology, HierarchicalTopology, LinkHop,
                                 SwitchedTopology, topology_names)
 
@@ -62,13 +61,35 @@ def _replay(model, schedule):
     return out, model.bytes_sent, model.messages_sent
 
 
+class _EgressOracle:
+    """The seed network model: one egress-free time per node, in a dict."""
+
+    def __init__(self, latency=5e-6, bandwidth=1.25e9,
+                 serialize_egress=True):
+        self.latency, self.bandwidth = latency, bandwidth
+        self.serialize_egress = serialize_egress
+        self.egress_free = {}
+        self.bytes_sent = self.messages_sent = 0
+
+    def plan_send(self, src, dst, nbytes, now):
+        if src == dst:
+            return now
+        self.bytes_sent += nbytes
+        self.messages_sent += 1
+        start = now
+        if self.serialize_egress:
+            start = max(now, self.egress_free.get(src, 0.0))
+            self.egress_free[src] = start + nbytes / self.bandwidth
+        return start + self.latency + nbytes / self.bandwidth
+
+
 class TestFlatEqualsLegacyNetwork:
-    """FlatTopology is the legacy Network, bit-for-bit."""
+    """FlatTopology is the seed network model, bit-for-bit."""
 
     @given(schedule=_messages)
     @settings(max_examples=100, deadline=None)
     def test_delivery_times_bit_identical(self, schedule):
-        legacy, flat = Network(), FlatTopology()
+        legacy, flat = _EgressOracle(), FlatTopology()
         times_l, bytes_l, msgs_l = _replay(legacy, schedule)
         times_f, bytes_f, msgs_f = _replay(flat, schedule)
         assert times_l == times_f  # exact float equality, no approx
@@ -77,13 +98,14 @@ class TestFlatEqualsLegacyNetwork:
     @given(schedule=_messages)
     @settings(max_examples=40, deadline=None)
     def test_non_serializing_variant_matches_too(self, schedule):
-        legacy = Network(latency=1e-4, bandwidth=1e7, serialize_egress=False)
+        legacy = _EgressOracle(latency=1e-4, bandwidth=1e7,
+                               serialize_egress=False)
         flat = FlatTopology(latency=1e-4, bandwidth=1e7,
                             serialize_egress=False)
         assert _replay(legacy, schedule) == _replay(flat, schedule)
 
     def test_same_defaults(self):
-        legacy, flat = Network(), FlatTopology()
+        legacy, flat = _EgressOracle(), FlatTopology()
         assert flat.latency == legacy.latency
         assert flat.bandwidth == legacy.bandwidth
 
@@ -239,8 +261,8 @@ class TestStateManagement:
     """The two network-state bugfix surfaces, at the model level."""
 
     @pytest.mark.parametrize("model_factory", [
-        Network, FlatTopology,
-        lambda: SwitchedTopology(rack_size=2),
+        FlatTopology, lambda: SwitchedTopology(rack_size=2),
+        lambda: HierarchicalTopology(rack_size=2),
     ])
     def test_reset_clears_link_backlog_and_counters(self, model_factory):
         model = model_factory()
@@ -253,16 +275,16 @@ class TestStateManagement:
         assert model.plan_send(0, 1, 10_000_000, 0.0) == first
 
     def test_reset_stats_keeps_backlog(self):
-        """The narrower legacy contract still holds: counters only."""
-        for model in (Network(), FlatTopology()):
-            t1 = model.plan_send(0, 1, 10_000_000, 0.0)
-            model.reset_stats()
-            assert model.bytes_sent == 0
-            assert model.plan_send(0, 2, 0, 0.0) > t1 - 1e-9  # still queued
+        """The narrower contract: counters only."""
+        model = FlatTopology()
+        t1 = model.plan_send(0, 1, 10_000_000, 0.0)
+        model.reset_stats()
+        assert model.bytes_sent == 0
+        assert model.plan_send(0, 2, 0, 0.0) > t1 - 1e-9  # still queued
 
     @pytest.mark.parametrize("model_factory", [
-        Network, FlatTopology,
-        lambda: SwitchedTopology(rack_size=2),
+        FlatTopology, lambda: SwitchedTopology(rack_size=2),
+        lambda: HierarchicalTopology(rack_size=2),
     ])
     def test_release_node_drops_private_reservation(self, model_factory):
         model = model_factory()

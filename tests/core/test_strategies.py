@@ -1,9 +1,9 @@
 """The pluggable balancing-strategy subsystem.
 
-Covers the registry/env-override mechanics (mirroring the kernel-backend
-registry), the frozen BalanceResult value object, the uniform-work
-helper, golden agreement of the ``tree`` strategy with the pre-refactor
-Algorithm 1, and hypothesis property tests asserting the strategy
+Covers the ``auto`` default (the shared registry semantics are tested
+once, in ``tests/test_name_registry.py``), the frozen BalanceResult
+value object, the uniform-work helper, golden agreement of the ``tree``
+strategy with the pre-refactor Algorithm 1, and hypothesis property tests asserting the strategy
 invariants (conservation, validity, determinism, no-op below threshold)
 for every registered strategy.
 """
@@ -14,12 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.balancer import LoadBalancer
-from repro.core.strategies import (AUTO, ENV_VAR, BalanceEvent,
-                                   BalanceResult, BalanceStrategy,
-                                   auto_strategy_name, get_strategy_class,
-                                   is_uniform_work, make_strategy,
-                                   register_strategy, requested_strategy,
-                                   strategy_names)
+from repro.core.strategies import (ENV_VAR, BalanceEvent, BalanceResult,
+                                   auto_strategy_name, is_uniform_work,
+                                   make_strategy, strategy_names)
 from repro.mesh.subdomain import SubdomainGrid
 from repro.partition.geometric import block_partition
 
@@ -37,32 +34,6 @@ class TestRegistry:
     def test_all_strategies_registered(self):
         assert strategy_names() == list(ALL)
 
-    def test_get_strategy_class(self):
-        for name in ALL:
-            assert get_strategy_class(name).name == name
-        with pytest.raises(KeyError):
-            get_strategy_class("magic")
-
-    def test_requested_explicit_name_honored(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "diffusion")
-        # explicit names win over the environment
-        assert requested_strategy("tree") == "tree"
-
-    def test_requested_auto_consults_env(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert requested_strategy() == AUTO
-        monkeypatch.setenv(ENV_VAR, "greedy")
-        assert requested_strategy() == "greedy"
-        monkeypatch.setenv(ENV_VAR, "auto")  # =auto means "no override"
-        assert requested_strategy() == AUTO
-
-    def test_requested_rejects_unknown(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown balancing strategy"):
-            requested_strategy("magic")
-        monkeypatch.setenv(ENV_VAR, "magic")
-        with pytest.raises(ValueError, match=ENV_VAR):
-            requested_strategy()
-
     def test_auto_default_is_the_papers_algorithm(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
         assert auto_strategy_name() == "tree"
@@ -74,12 +45,6 @@ class TestRegistry:
         sg = SubdomainGrid(16, 16, 4, 4)
         assert make_strategy("auto", sg).name == "repartition"
         assert make_strategy("tree", sg).name == "tree"  # pin wins
-
-    def test_duplicate_and_auto_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_strategy("tree")(BalanceStrategy)
-        with pytest.raises(ValueError):
-            register_strategy("auto")(BalanceStrategy)
 
     def test_loadbalancer_facade_resolves_and_reports(self):
         sg = SubdomainGrid(16, 16, 4, 4)

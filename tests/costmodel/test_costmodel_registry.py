@@ -1,19 +1,15 @@
-"""Cost-model registry semantics: the same selection contract as the
-kernel-backend and balancer registries.
-
-Explicit names win over the environment; ``REPRO_COST_MODEL`` reroutes
-only ``"auto"`` requests (``=auto`` means "no override"); unresolved
-``"auto"`` falls back to the ``flat`` default — the seed arithmetic —
-so every pre-existing scenario and golden is untouched.
+"""Cost-model selection: unresolved ``"auto"`` falls back to the
+``flat`` default — the seed arithmetic — so every pre-existing scenario
+and golden is untouched.  The shared registry semantics (explicit names
+beat ``REPRO_COST_MODEL``, ``=auto`` means "no override") are tested
+once, in ``tests/test_name_registry.py``.
 """
 
 import pytest
 
 from repro.costmodel import (AUTO, DEFAULT, ENV_VAR, CostModel,
                              FlatCostModel, HierarchyCostModel, WorkItem,
-                             cost_model_names, get_cost_model_class,
-                             make_cost_model, register_cost_model,
-                             requested_cost_model)
+                             cost_model_names, make_cost_model)
 from repro.costmodel.hierarchy import DEFAULT_HIERARCHY, MemoryHierarchy, \
     MemoryLevel
 
@@ -24,52 +20,9 @@ class TestRegistry:
     def test_two_models_registered(self):
         assert ALL_MODELS == ["flat", "hierarchy"]
 
-    def test_get_cost_model_class_roundtrip(self):
-        for name in ALL_MODELS:
-            assert get_cost_model_class(name).name == name
-
     def test_default_is_flat(self):
         assert DEFAULT == "flat"
         assert ENV_VAR == "REPRO_COST_MODEL"
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(KeyError, match="unknown cost model"):
-            get_cost_model_class("oracle")
-        with pytest.raises(ValueError, match="unknown cost model"):
-            requested_cost_model("oracle")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_cost_model("flat")(get_cost_model_class("flat"))
-
-    def test_auto_is_reserved(self):
-        with pytest.raises(ValueError, match="reserved"):
-            register_cost_model(AUTO)(get_cost_model_class("flat"))
-
-    def test_explicit_name_passes_through(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "hierarchy")
-        # explicit names win over the environment
-        assert requested_cost_model("flat") == "flat"
-
-    def test_env_forces_auto(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "hierarchy")
-        assert requested_cost_model(AUTO) == "hierarchy"
-
-    def test_env_unset_leaves_auto(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert requested_cost_model(AUTO) == AUTO
-
-    def test_env_auto_means_no_override(self, monkeypatch):
-        """Exporting REPRO_COST_MODEL=auto must behave like not setting
-        it, not error out as an unknown model."""
-        monkeypatch.setenv(ENV_VAR, "auto")
-        assert requested_cost_model(AUTO) == AUTO
-        assert requested_cost_model("hierarchy") == "hierarchy"
-
-    def test_env_with_unknown_model_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "oracle")
-        with pytest.raises(ValueError, match="REPRO_COST_MODEL"):
-            requested_cost_model(AUTO)
 
 
 class TestMakeCostModel:

@@ -1,13 +1,12 @@
 """End-to-end parity of the DES fast path across whole scenarios.
 
-The fast path has three independently-gated pieces — queue backend
-(``REPRO_DES_QUEUE``), wave batching (``REPRO_DES_WAVE``), and the
-solver's step-plan cache (``REPRO_DES_PLANCACHE``).  Each must leave
-every :class:`RunRecord` field bit-identical on full scenario runs,
-including makespans, step durations, imbalance history, and byte
-accounting.  (The committed goldens pin the same property against the
-repository history; these tests pin it pairwise within one checkout,
-over scenarios with balancing, faults, and hierarchical topologies.)
+The fast path has two pieces — wave batching (``REPRO_DES_WAVE``) and
+the solver's step-plan cache.  Each must leave every :class:`RunRecord`
+field bit-identical on full scenario runs, including makespans, step
+durations, imbalance history, and byte accounting.  (The committed
+goldens pin the same property against the repository history; these
+tests pin it pairwise within one checkout, over scenarios with
+balancing, faults, and hierarchical topologies.)
 """
 
 import json
@@ -15,6 +14,7 @@ import json
 import pytest
 
 from repro.experiments import build, run_scenario
+from repro.solver.distributed import DistributedSolver
 
 #: small but feature-covering: balancing + drift, fault + recovery,
 #: rack topology with per-link contention
@@ -30,15 +30,13 @@ def _record(name, overrides):
     return json.dumps(rec.to_dict(), sort_keys=True)
 
 
-@pytest.mark.parametrize("name,overrides", SCENARIOS)
-def test_queue_backends_produce_identical_records(name, overrides,
-                                                  monkeypatch):
-    results = {}
-    for queue in ("heap", "bucket", "auto"):
-        monkeypatch.setenv("REPRO_DES_QUEUE", queue)
-        results[queue] = _record(name, overrides)
-    assert results["bucket"] == results["heap"]
-    assert results["auto"] == results["heap"]
+def _uncache_plans(monkeypatch):
+    """The parity oracle for the plan cache: a ``_plan`` attribute that
+    never holds a plan, so every step compiles its own."""
+    monkeypatch.setattr(DistributedSolver, "_plan",
+                        property(lambda self: None,
+                                 lambda self, plan: None),
+                        raising=False)
 
 
 @pytest.mark.parametrize("name,overrides", SCENARIOS)
@@ -52,22 +50,41 @@ def test_wave_batching_produces_identical_records(name, overrides,
 
 @pytest.mark.parametrize("name,overrides", SCENARIOS)
 def test_plan_cache_produces_identical_records(name, overrides, monkeypatch):
-    monkeypatch.setenv("REPRO_DES_PLANCACHE", "0")
-    uncached = _record(name, overrides)
-    monkeypatch.setenv("REPRO_DES_PLANCACHE", "1")
-    assert _record(name, overrides) == uncached
+    cached = _record(name, overrides)
+    _uncache_plans(monkeypatch)
+    assert _record(name, overrides) == cached
+
+
+@pytest.mark.parametrize("name,steps", [
+    ("hetero_drift", 20),    # moves SDs for 11 steps, then settles
+    ("fault_recovery", 8),   # evacuation + rebalancing, then quiet
+    ("rack_locality", 8),    # never balances
+])
+def test_plan_compiled_once_per_ownership_change(name, steps, monkeypatch):
+    """The plan is rebuilt exactly at the steps that follow an SD move,
+    and reused everywhere else."""
+    built = []
+    compile_plan = DistributedSolver._build_plan
+
+    def counting(self):
+        built.append(self._current_step)
+        return compile_plan(self)
+
+    monkeypatch.setattr(DistributedSolver, "_build_plan", counting)
+    rec = run_scenario(build(name, steps=steps))
+    moved_after = {e["step"] + 1 for e in rec.balance_events
+                   if e["sds_moved"] > 0}
+    assert built == [0] + sorted(s for s in moved_after if 0 < s < steps)
+    assert len(built) < steps
 
 
 def test_everything_on_matches_everything_off(monkeypatch):
     """The full fast path vs the full seed path on one drifting,
     balanced scenario — the combined gate."""
-    for var in ("REPRO_DES_QUEUE", "REPRO_DES_WAVE", "REPRO_DES_PLANCACHE"):
-        monkeypatch.setenv(var, {"REPRO_DES_QUEUE": "heap"}.get(var, "0"))
-    seed = _record("hetero_drift", {"steps": 6})
-    monkeypatch.setenv("REPRO_DES_QUEUE", "bucket")
-    monkeypatch.setenv("REPRO_DES_WAVE", "1")
-    monkeypatch.setenv("REPRO_DES_PLANCACHE", "1")
-    assert _record("hetero_drift", {"steps": 6}) == seed
+    fast = _record("hetero_drift", {"steps": 6})
+    monkeypatch.setenv("REPRO_DES_WAVE", "0")
+    _uncache_plans(monkeypatch)
+    assert _record("hetero_drift", {"steps": 6}) == fast
 
 
 class TestScaleExtreme:

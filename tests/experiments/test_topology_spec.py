@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.amt.cluster import Network
 from repro.amt.topology import (FlatTopology, HierarchicalTopology,
                                 SwitchedTopology)
 from repro.experiments import (ClusterSpec, PartitionSpec, ScenarioSpec,
@@ -137,7 +136,7 @@ class TestTopologySpecRoundTrip:
         del d["topology"]   # a pre-v4 record
         c = ClusterSpec.from_dict(d)
         assert c.topology is None
-        assert isinstance(c.build_network(), Network)
+        assert isinstance(c.build_network(), FlatTopology)
 
     def test_scenario_round_trip_with_topology_and_placement(self):
         spec = build("oversubscribed_uplink", placement="scatter")

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.amt.cluster import ConstantSpeed, Network, SimCluster
+from repro.amt.cluster import ConstantSpeed, SimCluster
+from repro.amt.topology import FlatTopology
 from repro.reporting.trace import TaskInterval, TraceRecorder, render_gantt
 
 
@@ -51,7 +52,7 @@ class TestTraceRecorder:
         assert run(False) == run(True)
 
     def test_dependent_task_starts_after_message(self):
-        net = Network(latency=3.0, bandwidth=1e12, serialize_egress=False)
+        net = FlatTopology(latency=3.0, bandwidth=1e12, serialize_egress=False)
         cluster = SimCluster(2, network=net)
         trace = TraceRecorder(cluster)
         msg = cluster.send(0, 1, nbytes=0)
@@ -111,7 +112,7 @@ class TestEndToEndOverlapVisibility:
             grid = UniformGrid(64, 64)
             model = NonlocalHeatModel(epsilon=4 * grid.h)
             sg = SubdomainGrid(64, 64, 2, 2)
-            net = Network(latency=1e-4, bandwidth=1e6)
+            net = FlatTopology(latency=1e-4, bandwidth=1e6)
             solver = DistributedSolver(model, grid, sg,
                                        block_partition(2, 2, 4),
                                        num_nodes=4, network=net,

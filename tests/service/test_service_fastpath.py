@@ -5,7 +5,7 @@ through ``submit_group``/``send_group`` and the arrival trace through
 the manager's chunked pump.  The contract is *bit-identical*
 observables: every record field (the full ``service_events`` stream,
 busy totals, makespan) must equal the forced-off per-event run on
-every scenario, every queue backend, and across mid-horizon cuts.
+every scenario and across mid-horizon cuts.
 """
 
 import pytest
@@ -106,47 +106,6 @@ class TestMidHorizonCut:
         assert composite == one_shot
         off = run_service(spec, wave_batching=False)
         assert one_shot[0] == list(off.service_events)
-
-
-class TestQueueBackendPromotion:
-    """REPRO_DES_QUEUE regression: heap, bucket, and auto (heap that
-    promotes itself past 4096 live events) must produce bit-identical
-    records, and auto must actually promote on a large forced-off
-    trace (every arrival pre-scheduled -> thousands of live events)."""
-
-    #: rate/horizon chosen so the forced-off run pre-schedules > 4096
-    #: arrival events (the auto promotion threshold)
-    SPEC = dict(rate=5e6, horizon=2e-3)
-
-    def _run(self, queue, monkeypatch):
-        monkeypatch.setenv("REPRO_DES_QUEUE", queue)
-        spec = build("service_overload", **self.SPEC)
-        rec, cluster = run_service_detailed(spec, wave_batching=False)
-        return rec, cluster
-
-    def test_heap_bucket_auto_bit_identical(self, monkeypatch):
-        records = {}
-        kinds = {}
-        for queue in ("heap", "bucket", "auto"):
-            rec, cluster = self._run(queue, monkeypatch)
-            records[queue] = rec.to_dict()
-            kinds[queue] = cluster.sim._queue.kind
-        assert records["heap"] == records["bucket"] == records["auto"]
-        assert kinds["heap"] == "heap"
-        assert kinds["bucket"] == "bucket"
-        # auto must have promoted: the pre-scheduled arrival backlog
-        # blows straight through the 4096-live-event threshold
-        assert kinds["auto"] == "bucket"
-
-    def test_fast_path_keeps_auto_on_the_heap(self, monkeypatch):
-        """The pump schedules one arrival event at a time, so the fast
-        path's live-event count stays tiny — no promotion needed."""
-        monkeypatch.setenv("REPRO_DES_QUEUE", "auto")
-        spec = build("service_overload", **self.SPEC)
-        rec_fast, cluster = run_service_detailed(spec, wave_batching=True)
-        assert cluster.sim._queue.kind == "heap"
-        rec_off, _ = self._run("auto", monkeypatch)
-        assert rec_fast.to_dict() == rec_off.to_dict()
 
 
 def test_wave_env_default_controls_service_cluster(monkeypatch):

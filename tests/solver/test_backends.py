@@ -1,4 +1,4 @@
-"""Kernel-backend suite: registry semantics and backend equivalence.
+"""Kernel-backend suite: auto selection and backend equivalence.
 
 Every backend must compute the same operator as
 :func:`apply_operator_reference` — the scipy-free oracle — across
@@ -17,8 +17,7 @@ from repro.mesh.stencil import NonlocalStencil, build_stencil
 from repro.solver.backends import (AUTO, ENV_VAR, KernelBackend,
                                    apply_operator_reference,
                                    auto_backend_name, backend_names,
-                                   get_backend_class, make_backend,
-                                   register_backend, requested_backend)
+                                   make_backend)
 from repro.solver.kernel import NonlocalOperator
 from repro.solver.model import NonlocalHeatModel
 
@@ -46,49 +45,6 @@ def reference_padded(stencil, scale, padded):
 class TestRegistry:
     def test_three_backends_registered(self):
         assert ALL_BACKENDS == ["direct", "fft", "sparse"]
-
-    def test_get_backend_class_roundtrip(self):
-        for name in ALL_BACKENDS:
-            assert get_backend_class(name).name == name
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(KeyError, match="unknown kernel backend"):
-            get_backend_class("quantum")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            requested_backend("quantum")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("direct")(get_backend_class("direct"))
-
-    def test_auto_is_reserved(self):
-        with pytest.raises(ValueError, match="reserved"):
-            register_backend(AUTO)(get_backend_class("direct"))
-
-    def test_explicit_name_passes_through(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "sparse")
-        # explicit names win over the environment
-        assert requested_backend("fft") == "fft"
-
-    def test_env_forces_auto(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "sparse")
-        assert requested_backend(AUTO) == "sparse"
-
-    def test_env_unset_leaves_auto(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert requested_backend(AUTO) == AUTO
-
-    def test_env_auto_means_no_override(self, monkeypatch):
-        """Exporting REPRO_KERNEL_BACKEND=auto must behave like not
-        setting it, not error out as an unknown backend."""
-        monkeypatch.setenv(ENV_VAR, "auto")
-        assert requested_backend(AUTO) == AUTO
-        assert requested_backend("fft") == "fft"
-
-    def test_env_with_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "quantum")
-        with pytest.raises(ValueError, match="REPRO_KERNEL_BACKEND"):
-            requested_backend(AUTO)
 
     def test_auto_heuristic_picks_by_radius(self):
         assert auto_backend_name(1) == "direct"

@@ -1,54 +1,38 @@
-"""Incremental busy-counter polling (``REPRO_BALANCER_POLL``).
+"""Incremental busy-counter polling.
 
 The balancer's end-of-step measurement used to sweep ``busy_time(n)``
-over every node; the cursor mode re-reads only nodes whose
-``busy_marks`` moved (or that still have pending work) since the last
-poll.  Both modes must produce bit-identical records — the cursor is a
-pure caching layer over the same windowed busy-time values — pinned on
-the two curated scenarios that stress the paths a stale cursor would
+over every node; the cursor re-reads only nodes whose ``busy_marks``
+moved (or that still have pending work) since the last poll.  It must
+produce records bit-identical to the sweep — the cursor is a pure
+caching layer over the same windowed busy-time values — pinned on the
+two curated scenarios that stress the paths a stale cursor would
 corrupt: ``hetero_drift`` (balances every few steps, resets counters)
 and ``fault_recovery`` (mid-run node death, evacuation, requeue).
 """
 
-import numpy as np
 import pytest
 
 from repro.amt.cluster import BusyCursor, SimCluster
 from repro.experiments import build, run_scenario
+from repro.solver.distributed import DistributedSolver
 
 SCENARIOS = ("hetero_drift", "fault_recovery")
+
+
+def _sweep(solver):
+    """The parity oracle: read every node's busy counter afresh."""
+    return [solver.cluster.busy_time(n)
+            for n in range(len(solver.cluster.nodes))]
 
 
 class TestPollModeParity:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_sweep_and_cursor_records_agree(self, monkeypatch, scenario):
         spec = build(scenario)
-        monkeypatch.setenv("REPRO_BALANCER_POLL", "sweep")
-        swept = run_scenario(spec)
-        monkeypatch.setenv("REPRO_BALANCER_POLL", "cursor")
         cursed = run_scenario(spec)
+        monkeypatch.setattr(DistributedSolver, "_poll_busy", _sweep)
+        swept = run_scenario(spec)
         assert swept.to_dict() == cursed.to_dict()
-
-    def test_default_is_cursor_and_junk_rejected(self, monkeypatch):
-        from repro.mesh.grid import UniformGrid
-        from repro.mesh.subdomain import SubdomainGrid
-        from repro.partition.geometric import block_partition
-        from repro.solver.distributed import DistributedSolver
-        from repro.solver.model import NonlocalHeatModel
-        grid = UniformGrid(16, 16)
-        model = NonlocalHeatModel(epsilon=2 * grid.h)
-        sg = SubdomainGrid(16, 16, 2, 2)
-
-        def make():
-            return DistributedSolver(model, grid, sg,
-                                     block_partition(2, 2, 2), num_nodes=2,
-                                     compute_numerics=False)
-
-        monkeypatch.delenv("REPRO_BALANCER_POLL", raising=False)
-        assert make()._poll_mode == "cursor"
-        monkeypatch.setenv("REPRO_BALANCER_POLL", "eager")
-        with pytest.raises(ValueError, match="REPRO_BALANCER_POLL"):
-            make()
 
 
 class TestCursorSemantics:
@@ -139,15 +123,3 @@ class TestBusyMarksAccounting:
         # the dead node's window closed: the poll must re-read it
         assert cluster.poll_busy(cursor)[1] == cluster.busy_time(1)
 
-
-def test_sweep_env_survives_a_parallel_sweep(monkeypatch):
-    """The poll mode is read at solver construction in each worker, so
-    a sweep with the env var set stays bit-identical to serial."""
-    monkeypatch.setenv("REPRO_BALANCER_POLL", "sweep")
-    monkeypatch.setenv("REPRO_SWEEP_SERIAL", "1")
-    from repro.experiments import run_sweep
-    specs = [build("hetero_drift", steps=4, seed=s) for s in (0, 1)]
-    serial = run_sweep(specs, serial=True)
-    ordered = run_sweep(specs)
-    assert [r.to_dict() for r in serial] == [r.to_dict() for r in ordered]
-    assert not np.any(np.isnan([r.makespan for r in serial]))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.amt.cluster import ConstantSpeed, Network
+from repro.amt.cluster import ConstantSpeed
+from repro.amt.topology import FlatTopology
 from repro.core.balancer import LoadBalancer
 from repro.core.policy import IntervalPolicy
 from repro.mesh.grid import UniformGrid
@@ -90,11 +91,11 @@ class TestScheduleProperties:
 
     def test_speedup_close_to_linear_with_cheap_network(self):
         grid, model, prob, sg = setup(nx=32, sds=8)
-        net = Network(latency=1e-9, bandwidth=1e15)
+        net = FlatTopology(latency=1e-9, bandwidth=1e15)
         r1 = DistributedSolver(model, grid, sg, block_partition(8, 8, 1),
                                num_nodes=1, network=net,
                                compute_numerics=False).run(None, 3)
-        net2 = Network(latency=1e-9, bandwidth=1e15)
+        net2 = FlatTopology(latency=1e-9, bandwidth=1e15)
         r4 = DistributedSolver(model, grid, sg, block_partition(8, 8, 4),
                                num_nodes=4, network=net2,
                                compute_numerics=False).run(None, 3)
@@ -106,10 +107,10 @@ class TestScheduleProperties:
         grid, model, prob, sg = setup(nx=32, sds=4)
         slow = dict(latency=2e-4, bandwidth=1e7)
         ro = DistributedSolver(model, grid, sg, block_partition(4, 4, 4),
-                               num_nodes=4, network=Network(**slow),
+                               num_nodes=4, network=FlatTopology(**slow),
                                compute_numerics=False, overlap=True).run(None, 5)
         rn = DistributedSolver(model, grid, sg, block_partition(4, 4, 4),
-                               num_nodes=4, network=Network(**slow),
+                               num_nodes=4, network=FlatTopology(**slow),
                                compute_numerics=False, overlap=False).run(None, 5)
         assert ro.makespan < rn.makespan
 

@@ -144,7 +144,7 @@ class TestSolverFaultBehavior:
         delay the next step start, exactly like ordinary step-boundary
         migrations (the new owner cannot compute on data that has not
         arrived)."""
-        from repro.amt.cluster import Network
+        from repro.amt.topology import FlatTopology
 
         def run(bandwidth, faults):
             grid = UniformGrid(32, 32)
@@ -154,7 +154,7 @@ class TestSolverFaultBehavior:
                 model, grid, sg, block_partition(4, 4, 4), num_nodes=4,
                 balancer="tree", policy=IntervalPolicy(10 ** 9),
                 compute_numerics=False, faults=faults,
-                network=Network(bandwidth=bandwidth))
+                network=FlatTopology(bandwidth=bandwidth))
             return solver.run(None, 4)
 
         step = run(1.25e9, None).step_durations[0]

@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
+from repro.amt.des import Simulator
 from repro.cli import build_parser, main
 from repro.experiments import SCHEMA, read_records, scenario_names
 
@@ -340,20 +342,6 @@ class TestJsonOutput:
         assert not path.parent.exists()
 
 
-class TestDesQueueEnv:
-    def test_bad_queue_env_reported_cleanly(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_DES_QUEUE", "splay")
-        rc = main(["run", "--scenario", "quickstart", "--steps", "1"])
-        assert rc == 2
-        assert "REPRO_DES_QUEUE" in capsys.readouterr().err
-
-    def test_valid_queue_env_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_DES_QUEUE", "bucket")
-        rc = main(["run", "--scenario", "quickstart", "--steps", "1"])
-        assert rc == 0
-        assert "makespan" in capsys.readouterr().out
-
-
 class TestServeCommand:
     def test_list_service_scenarios(self, capsys):
         rc = main(["serve", "--list"])
@@ -363,6 +351,21 @@ class TestServeCommand:
         assert names == sorted(names)
         assert {"service_poisson", "service_bursty", "service_overload",
                 "flash_crowd", "diurnal_autoscale"} <= set(names)
+
+    @pytest.mark.parametrize("prior", [None, "0"])
+    def test_profile_flag_does_not_leak_into_the_process(
+            self, capsys, monkeypatch, prior):
+        """Regression: --profile set REPRO_DES_PROFILE and never restored
+        it, so every later Simulator() in the process profiled."""
+        if prior is None:
+            monkeypatch.delenv("REPRO_DES_PROFILE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_DES_PROFILE", prior)
+        rc = main(["serve", "--horizon", "1e-4", "--profile"])
+        assert rc == 0
+        assert "DES events processed" in capsys.readouterr().out
+        assert os.environ.get("REPRO_DES_PROFILE") == prior
+        assert Simulator().profile is None
 
     def test_serve_default_scenario_with_json(self, capsys, tmp_path):
         path = tmp_path / "svc.json"
