@@ -1,8 +1,7 @@
 """DES fast-path throughput: per-event loop vs wave-batched fast path.
 
 Two workloads, each run once per configuration in a fresh subprocess
-(so ``REPRO_DES_WAVE`` is read cleanly and ``ru_maxrss`` gives a true
-per-configuration peak):
+(so ``ru_maxrss`` gives a true per-configuration peak):
 
 * **core** — a cluster-level task/message stress (no solver): every
   node receives a run of small homogeneous tasks plus a spread of
@@ -19,9 +18,11 @@ per-configuration peak):
 
 Configurations:
 
-* ``per-event`` — ``REPRO_DES_WAVE=0``: every task completion and
-  message delivery is its own event, the seed's event loop.
-* ``fast`` — the default: wave batching on.
+* ``per-event`` — ``SimCluster(wave_batching=False)`` (for the
+  scenario, ``build_solver(spec).cluster.wave_batching = False``):
+  every task completion and message delivery is its own event, the
+  seed's event loop.
+* ``fast`` — the default: deferred completions on.
 
 Every configuration must produce the *identical* virtual clock on both
 workloads — the determinism contract the fast path is built under —
@@ -64,12 +65,12 @@ _MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_DES_SPEEDUP", "5.0"))
 _MIN_EVENTS = float(os.environ.get("REPRO_BENCH_MIN_EVENTS_PER_SEC", "20000"))
 
 CONFIGS = (
-    {"name": "per-event", "wave": "0"},
-    {"name": "fast", "wave": "1"},
+    {"name": "per-event", "batching": False},
+    {"name": "fast", "batching": True},
 )
 
 
-def _run_core():
+def _run_core(batching):
     """The core stress in-process; returns (logical, physical, wall)."""
     from repro.amt.cluster import SimCluster
 
@@ -77,7 +78,8 @@ def _run_core():
     physical = 0
     logical = CORE_MSGS + CORE_NODES * CORE_TASKS
     for _ in range(CORE_REPS):
-        cluster = SimCluster(CORE_NODES, cores_per_node=1)
+        cluster = SimCluster(CORE_NODES, cores_per_node=1,
+                             wave_batching=batching)
         # deterministic pseudo-spread of sources, targets, and sizes
         cluster.send_many([
             ((i * 7919 + 13) % CORE_NODES, (i * 104729 + 7) % CORE_NODES,
@@ -97,7 +99,7 @@ def _run_core():
             "events_per_second": logical / best_wall}
 
 
-def _run_scenario():
+def _run_scenario(batching):
     """scale_extreme end to end; returns events, wall, makespan."""
     from repro.experiments import build
     from repro.experiments.runner import build_solver
@@ -105,6 +107,7 @@ def _run_scenario():
     spec = build("scale_extreme", mesh=MESH, sd_axis=SD_AXIS, nodes=NODES,
                  steps=STEPS)
     solver = build_solver(spec)
+    solver.cluster.wave_batching = batching
     t0 = time.perf_counter()
     result = solver.run(None, spec.num_steps)
     wall = time.perf_counter() - t0
@@ -119,9 +122,9 @@ def _worker(config_json: str) -> None:
     cfg = json.loads(config_json)
     row = {
         "config": cfg["name"],
-        "wave_batching": cfg["wave"] == "1",
-        "core": _run_core(),
-        "scenario": _run_scenario(),
+        "wave_batching": cfg["batching"],
+        "core": _run_core(cfg["batching"]),
+        "scenario": _run_scenario(cfg["batching"]),
         "peak_rss_bytes": peak_rss_bytes(),
     }
     print("RESULT " + json.dumps(row, sort_keys=True))
@@ -129,7 +132,6 @@ def _worker(config_json: str) -> None:
 
 def _run_config(cfg):
     env = dict(os.environ)
-    env["REPRO_DES_WAVE"] = cfg["wave"]
     env.pop("REPRO_DES_PROFILE", None)
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--worker",

@@ -316,11 +316,10 @@ class AutoscaleController:
 
     def _retire_idle(self, now: float) -> None:
         for nid in list(self._draining):
-            # flush any completed group prefix so "idle" is exact
+            # retire any completed pending prefix so "idle" is exact
             self.cluster.busy_time(nid)
             node = self.cluster.nodes[nid]
-            if (node.running or node.ready or node.pending
-                    or node.wave is not None):
+            if node.running or node.ready or node.pending:
                 continue
             self._draining.remove(nid)
             orphans = self.cluster.fail_node(nid)

@@ -22,9 +22,9 @@ which is exactly what the load balancer polls.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
 from collections import deque
+from itertools import islice
 from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
                     Tuple)
 
@@ -360,57 +360,29 @@ class SimTask:
         self.tag = tag
 
 
-class _Wave:
-    """A batch of queued tasks completed by one DES event.
+class _Batch:
+    """Task completions deferred into pending entries, retired by one event.
 
-    When a single-core node with a :class:`ConstantSpeed` trace holds a
-    run of queued action-free tasks, their completion times are a pure
-    prefix sum ``t_i = t_{i-1} + work_i/rate`` — no event between them
-    can change the node's schedule.  The cluster therefore pops the whole
-    run, computes the times vectorized (``np.add.accumulate`` performs
-    the identical left-to-right float64 additions, so the times are
-    bit-identical to the per-event loop) and schedules *one* event at the
-    wave's end instead of ``k`` events.  Busy time is accounted per task
-    with the same telescoping deltas the per-event path produces.
-
-    Deviations from the per-event path are limited to bookkeeping that is
-    invisible to the solver: intermediate task futures resolve (in task
-    order) at the wave's end rather than at each ``t_i``, and event
-    sequence numbers differ.  A failure or a ``run(until=...)`` boundary
-    unwinds the wave back into exact per-task state (see
-    ``SimCluster._flush_wave`` / ``_materialize_waves``).
+    Each task is an entry ``(start, finish, work, batch)`` in its node's
+    FIFO :attr:`SimNode.pending`.  The event at the latest finish
+    (:meth:`SimCluster._complete_batch`) retires the entries on
+    ``nodes`` and calls ``fire``.  A **run** (``tasks`` set) is a prefix
+    of one node's ready queue: it holds the core, and ``fire`` resolves
+    the members in task order, frees the core and re-dispatches.  A
+    **group** (``tasks is None``, from :meth:`SimCluster.submit_group`)
+    has one entry per node; ``fire`` is the barrier resolver or the
+    caller's callback.  ``remaining`` counts a reverted group's
+    uncompleted tasks.
     """
 
-    __slots__ = ("tasks", "times", "start", "event")
+    __slots__ = ("fire", "remaining", "nodes", "tasks", "event")
 
-    def __init__(self, tasks: List[SimTask], times: List[float],
-                 start: float, event: Event) -> None:
-        self.tasks = tasks
-        self.times = times
-        self.start = start
-        self.event = event
-
-
-class _TaskGroup:
-    """A cross-node batch of action-free tasks completed by one event.
-
-    :meth:`SimCluster.submit_group` places one FIFO *pending entry* per
-    node — ``(start, finish, work, group)`` with ``start`` tail-scheduled
-    after the node's previous entry — and schedules a single DES event at
-    the group's latest ``finish``.  ``remaining`` counts unretired
-    entries; ``fire`` runs inside the group's own event (or, after a
-    ``run(until=...)`` cut materializes the entries back into per-task
-    form, when the last reconstructed task completes) — it is either
-    the barrier future's resolver or the caller's direct completion
-    callback, so barriers fire at exactly the virtual time the
-    per-event path produces.
-    """
-
-    __slots__ = ("fire", "remaining", "event")
-
-    def __init__(self, fire, remaining: int) -> None:
+    def __init__(self, fire, nodes: List["SimNode"],
+                 tasks: Optional[List[SimTask]] = None) -> None:
         self.fire = fire
-        self.remaining = remaining
+        self.remaining = 0
+        self.nodes = nodes
+        self.tasks = tasks
         self.event: Optional[Event] = None
 
 
@@ -434,8 +406,8 @@ class SimNode:
         #: ``None``): what hierarchy-aware cost models price tasks
         #: against; inert under the flat model
         self.memory = memory
-        #: monotone count of busy-time credits (task completions, wave
-        #: flushes, group retirements) since construction — the change
+        #: monotone count of busy-time credits (task completions,
+        #: pending-entry retirements) since construction — the change
         #: detector behind :meth:`SimCluster.poll_busy`'s cursor
         self.busy_marks = 0
         self.free_cores = cores
@@ -449,18 +421,17 @@ class SimNode:
         #: Event), so a failure can truncate busy time and cancel the
         #: scheduled completions deterministically
         self.running: Dict[SimTask, tuple] = {}
-        #: in-flight batched task wave (single-core ConstantSpeed fast
-        #: path), or ``None``
-        self.wave: Optional[_Wave] = None
-        #: FIFO of tail-scheduled group entries
-        #: ``(start, finish, work, group)`` (see
-        #: :meth:`SimCluster.submit_group`); finishes are monotone
-        #: non-decreasing, so the completed prefix is always a prefix
-        self.pending: Deque[tuple] = deque()
+        #: FIFO of deferred completions ``(start, finish, work, batch)``
+        #: (see :class:`_Batch`): one run's entries or group entries,
+        #: never both; finishes are non-decreasing.  Stored flat, four
+        #: slots per entry, so in-flight entries allocate no GC-tracked
+        #: tuples (a long run would hold hundreds across collections)
+        self.pending: Deque[Any] = deque()
         #: virtual finish time of the last pending entry — the node's
-        #: schedule horizon for tail-scheduling the next group entry
+        #: schedule horizon for tail-scheduling the next entry while
+        #: ``pending`` is non-empty
         self.tail = 0.0
-        #: static half of group-fast-path eligibility, folded with the
+        #: static half of batching eligibility, folded with the
         #: constant rate: ``trace._rate`` when the node is single-core
         #: with a :class:`ConstantSpeed` trace, else 0.0 (``cores`` and
         #: ``trace`` are assign-once, so this never goes stale)
@@ -519,7 +490,7 @@ class SimCluster:
                  speeds: Optional[Sequence[SpeedTrace]] = None,
                  network: Optional[Topology] = None,
                  agas: Optional[AddressSpace] = None,
-                 wave_batching: Optional[bool] = None,
+                 wave_batching: bool = True,
                  default_rate: float = 1.0,
                  cost_model=None, memory=None) -> None:
         if num_nodes < 1:
@@ -536,11 +507,8 @@ class SimCluster:
         #: — a billion times slow.
         self.default_rate = float(default_rate)
         self.sim = Simulator()
-        if wave_batching is None:
-            wave_batching = os.environ.get("REPRO_DES_WAVE", "1") != "0"
-        #: batch homogeneous task waves into one event (see :class:`_Wave`);
-        #: mutable so callers (e.g. the fault-injecting solver) can turn
-        #: the fast path off and fall back to strict per-event semantics
+        #: defer completions into :class:`_Batch` es; ``False`` is the
+        #: one-event-per-task reference path
         self.wave_batching = bool(wave_batching)
         #: resolves :class:`repro.costmodel.WorkItem` submissions to
         #: work floats; raw float submissions bypass it entirely, so a
@@ -718,9 +686,10 @@ class SimCluster:
 
         and falls back to exactly that when batching is off or any
         target node is not on the group fast path (dead, multi-core,
-        non-constant speed, or currently holding classic/wave tasks).
-        On the fast path each task becomes a *pending entry* tail-
-        scheduled behind the node's previous entry — ``start =
+        non-constant speed, its core busy with a per-event task or a
+        one-node run, or tasks waiting in its ready queue).  On the fast
+        path each task becomes a *pending entry* of one :class:`_Batch`,
+        tail-scheduled behind the node's previous entry — ``start =
         max(tail, now)``, ``finish = start + work/rate``, the identical
         float64 arithmetic the per-event dispatch performs — and the
         whole group completes through a single DES event at its latest
@@ -748,7 +717,30 @@ class SimCluster:
                     f"group of {len(works)} tasks got {len(nodes)} "
                     f"target nodes")
             ids = nodes
-        if not self.wave_batching:
+        targets: Optional[List[SimNode]] = None
+        if self.wave_batching:
+            all_nodes = self.nodes
+            num_nodes = len(all_nodes)
+            if len(works) > num_nodes:
+                raise SimulationError(
+                    f"group of {len(works)} tasks needs {len(works)} "
+                    f"nodes, have {num_nodes}")
+            targets = []
+            for nid, work in zip(ids, works):
+                if not 0 <= nid < num_nodes:
+                    raise SimulationError(f"unknown node id {nid}")
+                node = all_nodes[nid]
+                # a single-core node's core is free only when no
+                # per-event task or run holds it and the node is alive
+                # (a failure zeroes it); group entries leave it free.  A
+                # completion frees the core before it re-dispatches, so
+                # a callback can still find queued ready tasks here
+                if (work < 0.0 or node.group_rate == 0.0
+                        or not node.free_cores or node.ready):
+                    targets = None
+                    break
+                targets.append(node)
+        if targets is None:
             fut = local_when_all(
                 [self.submit(nid, w, label=label)
                  for nid, w in zip(ids, works)])
@@ -756,53 +748,11 @@ class SimCluster:
                 return fut
             fut._add_callback(lambda _f: callback())
             return None
-        all_nodes = self.nodes
-        num_nodes = len(all_nodes)
-        if len(works) > num_nodes:
-            raise SimulationError(
-                f"group of {len(works)} tasks needs {len(works)} nodes, "
-                f"have {num_nodes}")
-        for nid, work in zip(ids, works):
-            if not 0 <= nid < num_nodes:
-                raise SimulationError(f"unknown node id {nid}")
-            node = all_nodes[nid]
-            # a node that already holds pending group entries is still
-            # eligible: everything that could break eligibility
-            # (classic submits, failures, run cuts, counter resets)
-            # materializes the entries away first, so a non-empty
-            # ``pending`` proves the full check passed and nothing
-            # changed since
-            if work < 0.0 or (not node.pending and (
-                    node.group_rate == 0.0 or not node.alive
-                    or node.running or node.ready
-                    or node.wave is not None)):
-                fut = local_when_all(
-                    [self.submit(nid, w, label=label)
-                     for nid, w in zip(ids, works)])
-                if callback is None:
-                    return fut
-                fut._add_callback(lambda _f: callback())
-                return None
-        sim = self.sim
-        now = sim.now
-        if callback is None:
-            fut = LocalFuture()
-            group = _TaskGroup(fut._resolve_none, len(works))
-        else:
-            fut = None
-            group = _TaskGroup(callback, len(works))
-        t_max = now
-        for nid, work in zip(ids, works):
-            node = all_nodes[nid]
-            tail = node.tail
-            start = tail if tail > now else now
-            finish = start + work / node.group_rate
-            node.pending.append((start, finish, work, group))
-            node.tail = finish
-            if finish > t_max:
-                t_max = finish
-        group.event = sim.schedule(
-            t_max, lambda g=group: self._complete_group(g),
+        fut = LocalFuture() if callback is None else None
+        batch = _Batch(callback or fut._resolve_none, targets)
+        t_max = self._append_entries(targets, works, batch)
+        batch.event = self.sim.schedule(
+            t_max, lambda b=batch: self._complete_batch(b),
             priority=1, klass="wave")
         return fut
 
@@ -904,13 +854,11 @@ class SimCluster:
             raise SimulationError(
                 f"cannot fail node {node_id}: it is the last alive node")
         node.alive = False
-        # group entries (any node's) revert to per-task form first, so
-        # the dead node's in-flight work is truncated and orphaned with
-        # exact per-event semantics
-        self._materialize_groups()
+        # its pending entries revert to per-task form first, so the
+        # dead node's in-flight work is truncated and orphaned with
+        # exact per-event semantics (and a group spanning it never fires)
+        self._revert(node)
         orphans: List[SimTask] = []
-        if node.wave is not None:
-            orphans.extend(self._flush_wave(node))
         for task, (token, event) in node.running.items():
             event.cancel()
             node.counter.end_work(self.sim.now, token)
@@ -940,8 +888,7 @@ class SimCluster:
         """Drain the event queue; return final virtual time."""
         result = self.sim.run(until=until, max_events=max_events)
         if until is not None:
-            self._materialize_waves()
-            self._materialize_groups()
+            self._revert()
         return result
 
     @property
@@ -954,7 +901,7 @@ class SimCluster:
         """Window busy core-seconds of ``node_id``."""
         node = self._node(node_id)
         if node.pending:
-            self._flush_pending(node, self.sim.now)
+            self._retire(node, self._done_horizon())
         return node.busy_time()
 
     def poll_busy(self, cursor: BusyCursor) -> List[float]:
@@ -963,7 +910,7 @@ class SimCluster:
         Semantically ``[self.busy_time(n) for n in range(len(
         self.nodes))]`` — and bit-identical to it: a node is re-read
         only when its :attr:`SimNode.busy_marks` moved past the
-        cursor's last-seen mark (or it holds un-flushed group entries);
+        cursor's last-seen mark (or it holds unretired pending entries);
         otherwise nothing has touched its busy counter since the last
         poll, so the cached float *is* what ``busy_time`` would return.
         Nodes that stayed idle the whole window — the common case at
@@ -976,7 +923,7 @@ class SimCluster:
         for i, node in enumerate(nodes):
             if node.pending or node.busy_marks != marks[i]:
                 values[i] = self.busy_time(i)
-                # read back after busy_time: flushing pending entries
+                # read back after busy_time: retiring pending entries
                 # bumps the mark
                 marks[i] = node.busy_marks
         return values[:len(nodes)]
@@ -998,20 +945,16 @@ class SimCluster:
     def busy_fraction(self, node_id: int) -> float:
         """Busy core-seconds / available core-seconds in the window."""
         node = self._node(node_id)
-        if node.pending:
-            self._flush_pending(node, self.sim.now)
         span = (self.sim.now - self._window_start) * node.cores
         if span <= 0:
             return 0.0
-        return node.busy_time() / span
+        return self.busy_time(node_id) / span
 
     def idle_time(self, node_id: int) -> float:
         """Available minus busy core-seconds in the current window."""
-        node = self._node(node_id)
-        if node.pending:
-            self._flush_pending(node, self.sim.now)
-        span = (self.sim.now - self._window_start) * node.cores
-        return max(0.0, span - node.busy_time())
+        cores = self._node(node_id).cores
+        span = (self.sim.now - self._window_start) * cores
+        return max(0.0, span - self.busy_time(node_id))
 
     def bytes_sent(self, node_id: int) -> float:
         """Window bytes sent by ``node_id`` (networking counter)."""
@@ -1029,11 +972,11 @@ class SimCluster:
         Passes the current virtual time so busy intervals that are open
         at the reset (in-flight tasks at a balance poll) are clipped at
         the window boundary instead of leaking their pre-reset span into
-        the new window.  Group entries revert to per-task form first so
-        an entry straddling the reset is clipped exactly like an
+        the new window.  Pending entries revert to per-task form first
+        so an entry straddling the reset is clipped exactly like an
         in-flight per-event task.
         """
-        self._materialize_groups()
+        self._revert()
         self.counters.reset_all(now=self.sim.now)
         self._window_start = self.sim.now
         # windows changed under every cursor: any poll that skips the
@@ -1057,19 +1000,19 @@ class SimCluster:
                     f"{node.node_id} and no orphan handler is set")
             self.orphan_handler(task)
             return
-        if node.pending:
-            # classic task arriving on a node with tail-scheduled group
-            # entries: revert groups to per-task state first so FIFO
-            # order and core occupancy are exact under mixing
-            self._materialize_groups()
+        pending = node.pending
+        if pending and pending[3].tasks is None:
+            # a per-event task mixing with group entries: revert them so
+            # FIFO order and core occupancy are exact.  A run stays: it
+            # holds the core and its event re-dispatches the node
+            self._revert(node)
         node.ready.append(task)
         self._dispatch(node)
 
     def _dispatch(self, node: SimNode) -> None:
-        if (self.wave_batching and node.alive and node.cores == 1
-                and node.free_cores == 1 and len(node.ready) >= 2
-                and type(node.trace) is ConstantSpeed):
-            # wave fast path: batch the leading run of action-free
+        if (self.wave_batching and node.group_rate and node.alive
+                and node.free_cores == 1 and len(node.ready) >= 2):
+            # one-node run fast path: batch the leading run of action-free
             # tasks, cut so no *observed* future resolves late.  A wave
             # resolves its members at the wave's end, so an observed
             # member is only safe when every observer also waits for
@@ -1078,7 +1021,7 @@ class SimCluster:
             # fire before the run's own end), at an unobserved member,
             # or at a multi-observed member (its own true completion
             # time is the wave end).  Futures observed *after* the wave
-            # forms trigger a live unwind (see LocalFuture._wave).
+            # forms trigger a live revert (see LocalFuture._wave).
             k = 0
             end = 0
             common = None
@@ -1116,279 +1059,206 @@ class SimCluster:
     def _start_wave(self, node: SimNode, k: int) -> None:
         ready = node.ready
         tasks = [ready.popleft() for _ in range(k)]
-        start = self.sim.now
-        rate = node.trace._rate
+        batch = _Batch(lambda: self._finish_run(node, tasks), [node], tasks)
+        works = [task.work for task in tasks]
         if k < 32:
-            # numpy setup costs more than it saves on short waves; the
-            # loop performs the identical fl(t + work/rate) additions
-            times: List[float] = []
-            t = start
-            for task in tasks:
-                t = t + task.work / rate
-                times.append(t)
+            # numpy setup costs more than it saves on short runs
+            finish = self._append_entries([node] * k, works, batch)
         else:
+            # the queue is empty (the core was free): the run starts now.
+            # accumulate adds strictly left to right, bit-identical to
+            # the fl(t + fl(work/rate)) chain of _append_entries
             acc = np.empty(k + 1, dtype=np.float64)
-            acc[0] = start
-            works = np.fromiter((task.work for task in tasks),
-                                dtype=np.float64, count=k)
-            np.divide(works, rate, out=acc[1:])
-            # ufunc accumulate adds strictly left to right: bit-identical
-            # to the sequential t_i = fl(t_{i-1} + fl(work_i/rate)) chain
-            times = np.add.accumulate(acc)[1:].tolist()
+            acc[0] = self.sim.now
+            np.divide(works, node.group_rate, out=acc[1:])
+            times = np.add.accumulate(acc).tolist()
+            entries = [batch] * (4 * k)
+            entries[0::4] = times[:-1]
+            entries[1::4] = times[1:]
+            entries[2::4] = works
+            node.pending.extend(entries)
+            node.tail = finish = times[-1]
         node.free_cores -= 1
-        event = self.sim.schedule(
-            times[-1], lambda n=node: self._complete_wave(n),
+        batch.event = self.sim.schedule(
+            finish, lambda: self._complete_batch(batch),
             priority=1, klass="wave")
-        wave = _Wave(tasks, times, start, event)
-        node.wave = wave
         # a subscriber attaching to a non-final member mid-flight must
-        # see the true completion time: arm the live unwind trigger
+        # see the true completion time: arm the live revert trigger
         # (fired from LocalFuture._add_callback)
-        trigger = (lambda n=node, w=wave:
-                   self._materialize_live_wave(n, w))
+        trigger = (lambda: self._revert(node)
+                   if batch.event is not None else None)
         for task in tasks[:-1]:
             task.future._wave = trigger
 
-    def _complete_wave(self, node: SimNode) -> None:
-        wave = node.wave
-        node.wave = None
-        for task in wave.tasks:
-            task.future._wave = None
-        counter = node.counter
-        prev = wave.start
-        # same telescoping busy deltas the per-event path accumulates
-        for t in wave.times:
-            counter.add(t - prev)
-            prev = t
-        node.busy_marks += 1
-        node.tasks_completed += len(wave.tasks)
-        for task in wave.tasks:
-            node.work_completed += task.work
+    def _finish_run(self, node: SimNode, tasks: List[SimTask]) -> None:
+        """A run's ``fire``: resolve in task order, free the core, dispatch.
+
+        Clearing ``_wave`` breaks the future -> trigger -> task cycle (a
+        trigger met meanwhile is inert: the batch's event is gone).
+        """
         node.free_cores += 1
-        for task in wave.tasks:
-            task.future._set_value(None)
+        for task in tasks:
+            future = task.future
+            future._wave = None
+            future._set_value(None)
         self._dispatch(node)
 
-    def _flush_wave(self, node: SimNode) -> List[SimTask]:
-        """Unwind an in-flight wave at a failure instant.
+    # -- deferred completions (see _Batch) ---------------------------------
+    def _append_entries(self, nodes: Sequence[SimNode],
+                        works: Sequence[float], batch: _Batch) -> float:
+        """Tail-schedule ``works[i]`` on ``nodes[i]``; return the last finish.
 
-        Tasks whose completion time already passed are retroactively
-        completed (their per-event completions would have fired before
-        the failure event: completions carry priority 1, faults -1).
-        The in-flight task's busy interval is truncated at ``now``; it
-        and the not-yet-started tail become orphans, in queue order —
-        exactly the per-event failure semantics.
-        """
-        wave = node.wave
-        node.wave = None
-        wave.event.cancel()
-        for task in wave.tasks:
-            task.future._wave = None
-        now = self.sim.now
-        counter = node.counter
-        prev = wave.start
-        orphans: List[SimTask] = []
-        in_flight = True
-        for task, t in zip(wave.tasks, wave.times):
-            if not orphans and t < now:
-                counter.add(t - prev)
-                prev = t
-                node.tasks_completed += 1
-                node.work_completed += task.work
-                task.future._set_value(None)
-            else:
-                if in_flight:
-                    # the task occupying the core: truncate like end_work
-                    counter.add(now - prev)
-                    in_flight = False
-                orphans.append(task)
-        node.busy_marks += 1
-        return orphans
-
-    def _materialize_waves(self) -> None:
-        """Convert interrupted waves back into per-task state.
-
-        Called after ``run(until=...)`` returns mid-wave: completes the
-        tasks whose times are ``<= now`` (their events would have fired),
-        reconstructs the in-flight task as a normal ``running`` entry
-        with its own completion event, and puts the untouched tail back
-        at the front of the ready queue.  The cluster state then matches
-        the per-event path at the same boundary.
+        Each entry starts where its node's previous one finishes (or
+        now) and lasts ``work/rate``: the identical
+        ``fl(start + fl(work/rate))`` the per-event dispatch computes.
+        A node's tail bounds its schedule only while entries are queued
+        (a revert hands them to the per-event path and leaves it stale).
         """
         now = self.sim.now
-        for node in self.nodes:
-            wave = node.wave
-            if wave is None:
-                continue
-            node.wave = None
-            wave.event.cancel()
-            for task in wave.tasks:
-                task.future._wave = None
-            counter = node.counter
-            prev = wave.start
-            idx = 0
-            for task, t in zip(wave.tasks, wave.times):
-                if t <= now:
-                    counter.add(t - prev)
-                    prev = t
-                    node.tasks_completed += 1
-                    node.work_completed += task.work
-                    task.future._set_value(None)
-                    idx += 1
-                else:
-                    break
-            if idx:
-                node.busy_marks += 1
-            if idx < len(wave.tasks):
-                task = wave.tasks[idx]
-                token = counter.begin_work(prev)
-                event = self.sim.schedule(
-                    wave.times[idx],
-                    lambda t=task, n=node: self._complete(n, t),
-                    priority=1, klass="completion")
-                node.running[task] = (token, event)
-                for rest in reversed(wave.tasks[idx + 1:]):
-                    node.ready.appendleft(rest)
-            else:  # pragma: no cover - wave event fires at times[-1]
-                node.free_cores += 1
-                self._dispatch(node)
+        t_max = now
+        for node, work in zip(nodes, works):
+            pending = node.pending
+            start = node.tail if pending and node.tail > now else now
+            node.tail = finish = start + work / node.group_rate
+            pending.extend((start, finish, work, batch))
+            if finish > t_max:
+                t_max = finish
+        return t_max
 
-    def _materialize_live_wave(self, node: SimNode, wave: _Wave) -> None:
-        """Unwind one in-flight wave the instant a member is observed.
+    def _done_horizon(self) -> float:
+        """The done rule: a pending entry is done iff ``finish < horizon``.
 
-        Triggered from :meth:`LocalFuture._add_callback` when a new
-        subscriber (a ``local_when_all`` barrier, a ``then``) attaches to
-        a non-final wave member: the subscriber must see the member's
-        true completion time, so the wave reverts to per-task form.
-        Members whose completion times are strictly past are completed
-        retroactively (their per-event completions would have fired
-        before the current event); the in-flight member becomes a normal
-        ``running`` entry with its own completion event — scheduled at
-        its exact per-event time, including a completion *later this
-        same instant* when ``t == now`` — and the tail returns to the
-        ready queue.
+        Answers "would the per-event path already have completed this
+        entry?".  That path completes a task in a priority-1 event at
+        its finish, so an entry with ``finish < now`` is done, and one
+        with ``finish == now`` only for a reader that runs after
+        same-time completions: outside the event loop (a
+        ``run(until=...)`` cut) or inside an event of priority above 1.
+        Faults (-1), deliveries and timers (0) and completions (1) still
+        see it in flight.
         """
-        if node.wave is not wave:  # stale trigger from a resolved wave
-            return
-        node.wave = None
-        wave.event.cancel()
-        for task in wave.tasks:
-            task.future._wave = None
-        now = self.sim.now
-        counter = node.counter
-        prev = wave.start
-        idx = 0
-        for task, t in zip(wave.tasks, wave.times):
-            if t < now:
-                counter.add(t - prev)
-                prev = t
-                node.tasks_completed += 1
-                node.work_completed += task.work
-                task.future._set_value(None)
-                idx += 1
-            else:
-                break
-        if idx:
-            node.busy_marks += 1
-        # the wave event at times[-1] has not fired (it would have
-        # cleared node.wave), so at least the final member has t >= now
-        task = wave.tasks[idx]
-        token = counter.begin_work(prev)
-        event = self.sim.schedule(
-            wave.times[idx],
-            lambda t=task, n=node: self._complete(n, t),
-            priority=1, klass="completion")
-        node.running[task] = (token, event)
-        for rest in reversed(wave.tasks[idx + 1:]):
-            node.ready.appendleft(rest)
+        sim = self.sim
+        now = sim.now
+        return math.nextafter(now, math.inf) if sim._priority > 1 else now
 
-    # -- task groups (service fast path) -----------------------------------
-    def _flush_pending(self, node: SimNode, now: float) -> None:
-        """Retire the completed prefix of ``node``'s group entries.
+    def _retire(self, node: SimNode, horizon: float,
+                owner: Optional[_Batch] = None) -> None:
+        """Retire ``node``'s done prefix: entries with ``finish < horizon``.
 
-        Pops entries with ``finish <= now`` — per-event, their
-        completions would already have fired — crediting busy time and
-        task/work totals exactly as :meth:`_complete` does, and
-        decrementing each entry's group counter.  Never resolves a
-        barrier: resolution happens in the group's own event
-        (:meth:`_complete_group`), preserving per-event firing order.
-        In-flight entries (``finish > now``) contribute nothing, exactly
-        like an open ``BusyTimeCounter`` interval.
+        Credits busy time and task/work totals exactly as
+        :meth:`_complete` does.  With ``owner`` — the batch whose own
+        event is running — its entries retire too, with every entry
+        queued ahead of them, but not a same-instant successor (per
+        event, that one only starts once the owner's task completes).
+        Never fires a batch, preserving per-event firing order.
+        In-flight entries contribute nothing, like an open
+        ``BusyTimeCounter`` interval.
         """
         pending = node.pending
         counter = node.counter
-        retired = False
-        while pending and pending[0][1] <= now:
-            start, finish, work, group = pending.popleft()
-            span = finish - start
-            counter._window += span
-            counter._lifetime += span
-            node.tasks_completed += 1
-            node.work_completed += work
-            group.remaining -= 1
-            retired = True
+        # sequential float adds into locals: the same sums, in the same
+        # order, as per-task ``end_work`` credits
+        window, lifetime = counter._window, counter._lifetime
+        work_done = node.work_completed
+        popleft = pending.popleft
+        retired = 0
+        while pending:
+            finish = pending[1]
+            # the owner's event runs at priority 1 (horizon == now):
+            # only a same-instant entry can still queue ahead of it
+            if (finish >= horizon and pending[3] is not owner
+                    and (owner is None or finish > horizon
+                         or owner not in islice(pending, 3, None, 4))):
+                break
+            span = finish - popleft()
+            popleft()
+            work_done += popleft()
+            popleft()
+            window += span
+            lifetime += span
+            retired += 1
         if retired:
+            counter._window, counter._lifetime = window, lifetime
+            node.work_completed = work_done
+            node.tasks_completed += retired
             node.busy_marks += 1
 
-    def _complete_group(self, group: _TaskGroup) -> None:
-        """The one DES event per task group: flush, then fire the barrier.
+    def _complete_batch(self, batch: _Batch) -> None:
+        """The one DES event per batch: retire its entries, then fire."""
+        batch.event = None
+        horizon = self._done_horizon()
+        for node in batch.nodes:
+            self._retire(node, horizon, batch)
+        batch.fire()
 
-        Fires at the group's latest entry finish.  Per-node finishes are
-        monotone, so flushing every node's completed prefix retires all
-        of this group's entries (earlier groups' stragglers included —
-        their barriers still fire in their own events, where the flush
-        simply finds nothing left).
+    def _revert(self, node: Optional[SimNode] = None) -> None:
+        """Turn unretired pending entries into per-task state.
+
+        Without ``node`` (a ``run(until=...)`` cut, counter reset)
+        every node's entries revert.  With ``node`` (its failure, a
+        per-event task mixing onto its group entries, a late subscriber
+        on its run, ``LocalFuture._wave``) only its run does, or, if it
+        holds group entries, every node's group entries (a group
+        reverts whole).  Done entries retire first; the head of the
+        rest (``start <= now``) becomes a ``running`` task with an open
+        busy interval and its own completion event, the others return
+        to the front of the ready queue.  Group entries become fresh
+        tasks that count their group down; a run's entries are its
+        members, and its retired members resolve here.  Reverted
+        batches' events are cancelled.
         """
-        now = self.sim.now
-        for node in self.nodes:
-            pending = node.pending
-            if pending and pending[0][1] <= now:
-                self._flush_pending(node, now)
-        group.fire()
-
-    def _materialize_groups(self) -> None:
-        """Convert tail-scheduled group entries back into per-task state.
-
-        Called at a ``run(until=...)`` boundary, on failure, on counter
-        reset, and when classic tasks mix onto a node with pending
-        entries.  The completed prefix flushes as usual; every remaining
-        entry becomes a real :class:`SimTask` — the head entry (whose
-        ``start <= now`` always, by tail-scheduling) as an in-flight
-        ``running`` entry with an open busy interval and its own
-        completion event, the tail as ready-queue tasks.  Each converted
-        task decrements its group's counter on completion, so the
-        barrier still fires exactly when the group's last task finishes.
-        Group events of converted groups are cancelled (their remaining
-        entries no longer exist as entries).
-        """
-        now = self.sim.now
-        for node in self.nodes:
-            pending = node.pending
+        horizon = self._done_horizon()
+        groups_only = (node is not None and bool(node.pending)
+                       and node.pending[3].tasks is None)
+        targets = self.nodes if node is None or groups_only else (node,)
+        resolved: List[SimTask] = []
+        for target in targets:
+            pending = target.pending
+            if not pending or (groups_only
+                               and pending[3].tasks is not None):
+                continue
+            self._retire(target, horizon)
             if not pending:
                 continue
-            self._flush_pending(node, now)
-            first = True
-            while pending:
-                start, finish, work, group = pending.popleft()
-                if group.event is not None:
-                    group.event.cancel()
-                    group.event = None
-                task = SimTask(node.node_id, work, None, "task")
-                task.future._add_callback(
-                    lambda _f, g=group: self._group_task_done(g))
-                if first:
-                    first = False
-                    token = node.counter.begin_work(start)
-                    event = self.sim.schedule(
-                        finish,
-                        lambda t=task, n=node: self._complete(n, t),
-                        priority=1, klass="completion")
-                    node.running[task] = (token, event)
-                    node.free_cores -= 1
-                else:
-                    node.ready.append(task)
+            start, finish, _work, batch = islice(pending, 4)
+            members = batch.tasks
+            if members is None:
+                tasks = []
+                entries = iter(pending)
+                for _s, _f, work, group in zip(entries, entries, entries,
+                                               entries):
+                    if group.event is not None:
+                        group.event.cancel()
+                        group.event = None
+                    # a group reverts all its unretired entries at once,
+                    # so this counts exactly its uncompleted tasks
+                    group.remaining += 1
+                    task = SimTask(target.node_id, work, None, "task")
+                    task.future._add_callback(
+                        lambda _f, g=group: self._group_task_done(g))
+                    tasks.append(task)
+                target.free_cores -= 1
+            else:
+                # a run owns every entry on its node and holds the core
+                batch.event.cancel()
+                batch.event = None
+                for task in members:
+                    task.future._wave = None
+                done = len(members) - len(pending) // 4
+                resolved.extend(members[:done])
+                tasks = members[done:]
+            pending.clear()
+            head = tasks[0]
+            token = target.counter.begin_work(start)
+            event = self.sim.schedule(
+                finish, lambda t=head, n=target: self._complete(n, t),
+                priority=1, klass="completion")
+            target.running[head] = (token, event)
+            target.ready.extendleft(reversed(tasks[1:]))
+        for task in resolved:
+            task.future._set_value(None)
 
-    def _group_task_done(self, group: _TaskGroup) -> None:
+    def _group_task_done(self, group: _Batch) -> None:
         group.remaining -= 1
         if group.remaining == 0:
             group.fire()

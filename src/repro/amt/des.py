@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import os
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -173,6 +174,10 @@ class Simulator:
         self._now = 0.0
         self._running = False
         self._run_until: Optional[float] = None
+        #: priority of the event being executed; ``+inf`` outside
+        #: :meth:`run`/:meth:`step`, so a reader outside the loop ranks
+        #: after every same-time event (the cluster's done rule reads it)
+        self._priority: float = math.inf
         self._processed = 0
         if profile is None:
             profile = os.environ.get("REPRO_DES_PROFILE", "") not in ("", "0")
@@ -236,6 +241,8 @@ class Simulator:
 
     # -- execution -----------------------------------------------------------
     def _execute(self, ev: Event) -> None:
+        # the caller (run/step) restores ``_priority`` to +inf on exit
+        self._priority = ev.priority
         profile = self.profile
         if profile is None:
             ev.action()
@@ -258,7 +265,10 @@ class Simulator:
         ev = entry[3]
         self._now = ev.time
         self._processed += 1
-        self._execute(ev)
+        try:
+            self._execute(ev)
+        finally:
+            self._priority = math.inf
         return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -315,6 +325,7 @@ class Simulator:
         finally:
             self._running = False
             self._run_until = None
+            self._priority = math.inf
         return self._now
 
     def pending(self) -> int:

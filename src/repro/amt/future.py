@@ -193,16 +193,15 @@ class LocalFuture(Future):
     resolve it — callers drain the simulator first.
 
     Two extra slots support the cluster's barrier-aware wave batching
-    (see DESIGN.md, "Service fast path"):
+    (see DESIGN.md, "Deferred runs"):
 
     * ``_group`` — ``None`` until observed; then either the single
       :func:`local_when_all` barrier subscribed to this future, or the
       :data:`_MULTI` sentinel once any other observer appears.
     * ``_wave`` — set by the cluster while this future sits *inside* a
       formed wave whose end it does not terminate; called (zero-arg) the
-      moment a new subscriber attaches, which materializes the wave back
-      into per-event form so the subscriber sees the true completion
-      time.
+      moment a new subscriber attaches, which reverts the wave to
+      per-task form so the subscriber sees the true completion time.
     """
 
     __slots__ = ("_group", "_wave")

@@ -23,7 +23,7 @@ are equal.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..amt.autoscale import AutoscaleController
 from ..amt.cluster import ConstantSpeed, SimCluster
@@ -40,7 +40,7 @@ __all__ = ["run_service", "run_service_detailed", "summarize_record"]
 
 def run_service_detailed(
         spec: ServiceSpec,
-        wave_batching: Optional[bool] = None
+        wave_batching: bool = True
 ) -> Tuple[RunRecord, SimCluster]:
     """Execute one service point; return the record *and* the cluster.
 
@@ -50,8 +50,8 @@ def run_service_detailed(
     an underloaded run still ends with ``now == horizon``, so busy
     fractions and goodput are always measured against the full window.
 
-    ``wave_batching=None`` defers to the ``REPRO_DES_WAVE`` default
-    (on); pass ``False`` to force the strict one-event-per-task path.
+    ``wave_batching=False`` forces the strict one-event-per-task
+    path.
     The returned cluster exposes the DES itself (``cluster.sim``) for
     callers that want ``events_processed`` or ``profile_report()``.
     """
@@ -125,7 +125,7 @@ def run_service_detailed(
 
 
 def run_service(spec: ServiceSpec,
-                wave_batching: Optional[bool] = None) -> RunRecord:
+                wave_batching: bool = True) -> RunRecord:
     """Execute one service point and collect its :class:`RunRecord`."""
     record, _cluster = run_service_detailed(spec, wave_batching)
     return record

@@ -318,12 +318,6 @@ class DistributedSolver:
         #: balancer busy-time polls re-read only nodes whose counters
         #: changed since the last poll
         self._busy_cursor = BusyCursor()
-        if faults is not None:
-            # fault handlers poll busy_time at arbitrary mid-step times;
-            # wave batching defers per-task busy accounting to the wave
-            # end, which would skew the evacuation balance decision —
-            # keep elastic runs on the per-event path
-            self.cluster.wave_batching = False
         #: compiled step plan (``None`` until built / after ownership
         #: changes)
         self._plan: Optional[_StepPlan] = None

@@ -1,6 +1,6 @@
 """Wave batching and batched sends: exact equivalence to the seed path.
 
-Wave batching (``SimCluster.wave_batching`` / ``REPRO_DES_WAVE``)
+Wave batching (``SimCluster.wave_batching``)
 retires a run of homogeneous queued tasks with one DES event instead of
 one per task.  Everything the solver can observe — makespans, per-node
 busy time, task/work counters, failure orphans, ``run(until=...)``
@@ -135,12 +135,6 @@ class TestWaveEquivalence:
             out.append(_observe(cluster))
         assert out[0] == out[1]
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DES_WAVE", "0")
-        assert not SimCluster(1).wave_batching
-        monkeypatch.delenv("REPRO_DES_WAVE")
-        assert SimCluster(1).wave_batching
-
 
 class TestWaveInterruption:
     def _loaded(self, wave):
@@ -189,7 +183,7 @@ class TestWaveInterruption:
         cluster = self._loaded(wave)
         cluster.run(until=2.0)  # all work (incl. node 1's 1s task) done
         assert cluster.now == 2.0
-        assert all(n.wave is None for n in cluster.nodes)
+        assert all(not n.pending for n in cluster.nodes)
         assert sum(n.tasks_completed for n in cluster.nodes) == len(WORKS) + 1
         # the window denominator now covers the idle tail too
         assert cluster.busy_fraction(0) < 1.0

@@ -44,15 +44,15 @@ def records_equal(a, b, ignore_spec=False):
 
 class TestDistributedFlatParity:
     @pytest.mark.parametrize("waves", ["0", "1"])
-    def test_fault_recovery_matches_golden_schedule(self, monkeypatch,
+    def test_fault_recovery_matches_golden_schedule(self, run_per_event,
                                                     waves):
         """The flat run reproduces the golden's schedule bit for bit —
         with and without wave batching (both must resolve the same
         work floats)."""
-        monkeypatch.setenv("REPRO_DES_WAVE", waves)
+        run = run_scenario if waves == "1" else run_per_event
         with open(GOLDEN, "r", encoding="utf-8") as fh:
             golden = json.load(fh)["record"]
-        rec = run_scenario(build("fault_recovery")).to_dict()
+        rec = run(build("fault_recovery")).to_dict()
         for field in SCHEDULE_FIELDS:
             assert rec[field] == golden[field], field
         assert rec["cost_model_resolved"] == "flat"

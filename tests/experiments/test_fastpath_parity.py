@@ -1,8 +1,9 @@
 """End-to-end parity of the DES fast path across whole scenarios.
 
-The fast path has two pieces — wave batching (``REPRO_DES_WAVE``) and
-the solver's step-plan cache.  Each must leave every :class:`RunRecord`
-field bit-identical on full scenario runs, including makespans, step
+The fast path has two pieces — deferred completions
+(``SimCluster.wave_batching``) and the solver's step-plan cache.  Each
+must leave every :class:`RunRecord` field bit-identical on full
+scenario runs, including makespans, step
 durations, imbalance history, and byte accounting.  (The committed
 goldens pin the same property against the repository history; these
 tests pin it pairwise within one checkout, over scenarios with
@@ -17,16 +18,20 @@ from repro.experiments import build, run_scenario
 from repro.solver.distributed import DistributedSolver
 
 #: small but feature-covering: balancing + drift, fault + recovery,
-#: rack topology with per-link contention
+#: rack topology with per-link contention, and the churn scenarios
+#: (straggles, failures and joins on the batched path)
 SCENARIOS = [
     ("hetero_drift", {"steps": 6}),
     ("fault_recovery", {"steps": 4}),
     ("rack_locality", {"steps": 4}),
+    ("hetero_churn", {"steps": 6}),
+    ("straggler_tail", {"steps": 6}),
+    ("wan_joiner", {"steps": 6}),
 ]
 
 
-def _record(name, overrides):
-    rec = run_scenario(build(name, **overrides))
+def _record(name, overrides, run=run_scenario):
+    rec = run(build(name, **overrides))
     return json.dumps(rec.to_dict(), sort_keys=True)
 
 
@@ -41,10 +46,8 @@ def _uncache_plans(monkeypatch):
 
 @pytest.mark.parametrize("name,overrides", SCENARIOS)
 def test_wave_batching_produces_identical_records(name, overrides,
-                                                  monkeypatch):
-    monkeypatch.setenv("REPRO_DES_WAVE", "0")
-    off = _record(name, overrides)
-    monkeypatch.setenv("REPRO_DES_WAVE", "1")
+                                                  run_per_event):
+    off = _record(name, overrides, run=run_per_event)
     assert _record(name, overrides) == off
 
 
@@ -78,13 +81,12 @@ def test_plan_compiled_once_per_ownership_change(name, steps, monkeypatch):
     assert len(built) < steps
 
 
-def test_everything_on_matches_everything_off(monkeypatch):
+def test_everything_on_matches_everything_off(monkeypatch, run_per_event):
     """The full fast path vs the full seed path on one drifting,
     balanced scenario — the combined gate."""
     fast = _record("hetero_drift", {"steps": 6})
-    monkeypatch.setenv("REPRO_DES_WAVE", "0")
     _uncache_plans(monkeypatch)
-    assert _record("hetero_drift", {"steps": 6}) == fast
+    assert _record("hetero_drift", {"steps": 6}, run=run_per_event) == fast
 
 
 class TestScaleExtreme:

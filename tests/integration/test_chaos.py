@@ -8,7 +8,9 @@ The elastic-cluster invariants (DESIGN.md substitution 4) must hold for
 * **no dead owners** — once a node fails, no recorded ownership (at any
   balance event, or at the end) assigns it an SD;
 * **determinism** — bit-identical ``RunRecord``s across repeated runs
-  and across ``run_sweep`` vs serial execution, faults and all.
+  and across ``run_sweep`` vs serial execution, faults and all;
+* **batching parity** — the batched DES path and the per-event
+  reference produce the identical record under any churn.
 
 Schedules are drawn valid-by-construction (increasing times, fails only
 while >= 2 nodes live, sequential join ids) over a small schedule-only
@@ -139,6 +141,15 @@ class TestChaos:
         assert rec.balancer_resolved == name
         # bit-identical repeat: schedules, telemetry, everything
         assert run_scenario(spec) == rec
+
+    @given(faults=fault_schedules())
+    @settings(max_examples=6, deadline=None)
+    def test_batched_matches_per_event(self, name, faults, run_per_event):
+        """Fault handlers read busy times mid-step; deferred completions
+        must answer them exactly as the per-event path does."""
+        spec = base_spec(faults=faults, balancer=name)
+        assert (run_scenario(spec).to_dict()
+                == run_per_event(spec).to_dict())
 
     @given(faults=fault_schedules())
     @settings(max_examples=6, deadline=None)

@@ -107,13 +107,3 @@ class TestMidHorizonCut:
         off = run_service(spec, wave_batching=False)
         assert one_shot[0] == list(off.service_events)
 
-
-def test_wave_env_default_controls_service_cluster(monkeypatch):
-    """wave_batching=None defers to REPRO_DES_WAVE."""
-    spec = build("service_poisson", horizon=5e-4)
-    monkeypatch.setenv("REPRO_DES_WAVE", "0")
-    _, cluster = run_service_detailed(spec)
-    assert cluster.wave_batching is False
-    monkeypatch.delenv("REPRO_DES_WAVE")
-    _, cluster = run_service_detailed(spec)
-    assert cluster.wave_batching is True
