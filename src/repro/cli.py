@@ -52,16 +52,14 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="kernel backend for the operator applies "
                              "(default: the scenario's choice, normally "
-                             "'auto' = radius heuristic; env "
-                             "REPRO_KERNEL_BACKEND overrides 'auto')")
+                             "'auto' = radius heuristic)")
 
     def add_balancer(sp):
         sp.add_argument("--balancer", choices=["auto"] + strategy_names(),
                         default=None,
                         help="load-balancing strategy (default: the "
                              "scenario's choice, normally 'auto' = the "
-                             "paper's tree algorithm; env REPRO_BALANCER "
-                             "overrides 'auto')")
+                             "paper's tree algorithm)")
 
     def add_cost_model(sp):
         sp.add_argument("--cost-model", choices=["auto"] + cost_model_names(),
@@ -70,8 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "times (default: the scenario's choice, "
                              "normally 'auto' = the seed's flat "
                              "arithmetic; 'hierarchy' makes block shape "
-                             "and backend matter; env REPRO_COST_MODEL "
-                             "overrides 'auto')")
+                             "and backend matter)")
 
     def add_topology(sp):
         from .amt.topology import topology_names
@@ -515,16 +512,6 @@ def _cmd_serve(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    from .core.strategies import requested_strategy
-    from .costmodel import requested_cost_model
-    from .solver.backends import requested_backend
-    try:
-        requested_backend()      # a bad REPRO_KERNEL_BACKEND (or
-        requested_strategy()     # REPRO_BALANCER, REPRO_COST_MODEL)
-        requested_cost_model()   # fails every command; report it
-    except ValueError as exc:  # without a traceback
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     handlers = {
         "validate": _cmd_validate,
         "solve": _cmd_solve,

@@ -7,7 +7,7 @@
   SD selection.
 * :mod:`repro.core.strategies` — the pluggable balancing strategies
   (``tree`` = Algorithm 1, ``diffusion``, ``greedy``, ``repartition``)
-  behind a registry with the ``REPRO_BALANCER`` override.
+  behind a name registry whose ``"auto"`` default is ``tree``.
 * :mod:`repro.core.balancer` — the :class:`LoadBalancer` facade.
 * :mod:`repro.core.policy` — when-to-balance strategies (stateless).
 """
@@ -19,7 +19,7 @@ from .power import (compute_power, expected_sds, imbalance_ratio, integer_target
                     load_imbalance)
 from .smoothing import SmoothedPowerEstimator
 from .strategies import (BalanceEvent, BalanceStrategy, is_uniform_work,
-                         make_strategy, requested_strategy, strategy_names)
+                         make_strategy, strategy_names)
 from .transfer import (TransferPlan, apply_transfers,
                        naive_select_transfers, select_transfers)
 from .tree import DependencyTree, build_dependency_tree, topological_order
@@ -27,7 +27,7 @@ from .tree import DependencyTree, build_dependency_tree, topological_order
 __all__ = [
     "BalanceResult", "LoadBalancer",
     "BalanceEvent", "BalanceStrategy", "is_uniform_work", "make_strategy",
-    "requested_strategy", "strategy_names",
+    "strategy_names",
     "BalancePolicy", "IntervalPolicy", "NeverBalance", "ThresholdPolicy",
     "compute_power", "expected_sds", "imbalance_ratio", "integer_targets", "load_imbalance",
     "SmoothedPowerEstimator",

@@ -5,8 +5,7 @@ classic alternatives (``diffusion``, ``greedy``, ``repartition``) sit
 beside it behind the shared :class:`repro.core.strategies.base
 .BalanceStrategy` interface and name registry.  :class:`LoadBalancer`
 is the stable entry point the solvers and tests use: it resolves a
-strategy *name* (``"auto"`` honors the ``REPRO_BALANCER`` environment
-override and defaults to the paper's algorithm) and delegates
+strategy *name* (``"auto"`` is the paper's algorithm) and delegates
 ``balance_step`` to it.
 """
 
@@ -34,10 +33,10 @@ class LoadBalancer:
         Forwarded to the transfer policy.
     strategy:
         A registered strategy name (``"tree"``, ``"diffusion"``,
-        ``"greedy"``, ``"repartition"``), ``"auto"`` (the
-        ``REPRO_BALANCER`` override, else the paper's algorithm), or a
-        prebuilt :class:`BalanceStrategy` instance.  Resolution happens
-        here, at construction, so a run's strategy is fixed up front.
+        ``"greedy"``, ``"repartition"``), ``"auto"`` (the paper's
+        algorithm), or a prebuilt :class:`BalanceStrategy` instance.
+        Resolution happens here, at construction, so a run's strategy
+        is fixed up front.
     """
 
     def __init__(self, sd_grid: SubdomainGrid,

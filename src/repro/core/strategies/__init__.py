@@ -5,17 +5,15 @@ makes the balancing layer a first-class strategy subsystem: a shared
 :class:`BalanceStrategy` interface with the measurement preamble
 (eqs. 8-10, integer targets, trigger threshold), a name registry (the
 :class:`repro.registry.Registry` the kernel backends use) with
-an ``"auto"`` default and the ``REPRO_BALANCER`` environment override,
-and four implementations — ``tree`` (Algorithm 1), ``diffusion``,
+an ``"auto"`` default (the paper's ``tree``), and four implementations — ``tree`` (Algorithm 1), ``diffusion``,
 ``greedy``, and ``repartition``.  See DESIGN.md, *Balancing
 strategies*.
 """
 
 from .base import (BalanceEvent, BalanceResult, BalanceStrategy,
                    evacuate_assignments, is_uniform_work)
-from .registry import (AUTO, ENV_VAR, auto_strategy_name, get_strategy_class,
-                       make_strategy, register_strategy, requested_strategy,
-                       strategy_names)
+from .registry import (AUTO, auto_strategy_name, get_strategy_class,
+                       make_strategy, register_strategy, strategy_names)
 
 # importing the implementation modules registers them
 from .diffusion import DiffusionStrategy
@@ -26,9 +24,8 @@ from .tree import TreeStrategy
 __all__ = [
     "BalanceEvent", "BalanceResult", "BalanceStrategy", "is_uniform_work",
     "evacuate_assignments",
-    "AUTO", "ENV_VAR", "auto_strategy_name", "get_strategy_class",
-    "make_strategy", "register_strategy", "requested_strategy",
-    "strategy_names",
+    "AUTO", "auto_strategy_name", "get_strategy_class", "make_strategy",
+    "register_strategy", "strategy_names",
     "DiffusionStrategy", "GreedyStrategy", "RepartitionStrategy",
     "TreeStrategy",
 ]

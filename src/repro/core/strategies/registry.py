@@ -2,9 +2,8 @@
 
 Selection follows :class:`repro.registry.Registry`: explicit names
 (``"tree"``, ``"diffusion"``, ``"greedy"``, ``"repartition"``) are
-honored as-is, ``"auto"`` consults ``REPRO_BALANCER`` and otherwise
-resolves to the paper's algorithm (:func:`auto_strategy_name` returns
-``"tree"``).
+honored as-is, ``"auto"`` resolves to the paper's algorithm
+(:func:`auto_strategy_name` returns ``"tree"``).
 """
 
 from __future__ import annotations
@@ -13,18 +12,13 @@ from ...mesh.subdomain import SubdomainGrid
 from ...registry import AUTO, Registry
 from .base import BalanceStrategy
 
-__all__ = ["AUTO", "ENV_VAR", "REGISTRY", "register_strategy",
-           "strategy_names", "get_strategy_class", "requested_strategy",
-           "auto_strategy_name", "make_strategy"]
+__all__ = ["AUTO", "REGISTRY", "register_strategy", "strategy_names",
+           "get_strategy_class", "auto_strategy_name", "make_strategy"]
 
-#: Environment variable forcing the resolution of ``"auto"`` requests.
-ENV_VAR = "REPRO_BALANCER"
-
-REGISTRY = Registry("balancing strategy", ENV_VAR)
+REGISTRY = Registry("balancing strategy")
 register_strategy = REGISTRY.register
 strategy_names = REGISTRY.names
 get_strategy_class = REGISTRY.get
-requested_strategy = REGISTRY.requested
 
 
 def auto_strategy_name() -> str:
@@ -36,9 +30,7 @@ def make_strategy(name: str, sd_grid: SubdomainGrid,
                   trigger_threshold: float = 1.0,
                   preserve_connectivity: bool = True) -> BalanceStrategy:
     """Instantiate the strategy ``name`` resolves to for this SD grid."""
-    resolved = requested_strategy(name)
-    if resolved == AUTO:
-        resolved = auto_strategy_name()
+    resolved = auto_strategy_name() if name == AUTO else name
     return get_strategy_class(resolved)(
         sd_grid, trigger_threshold=trigger_threshold,
         preserve_connectivity=preserve_connectivity)

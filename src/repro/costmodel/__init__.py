@@ -4,9 +4,8 @@
 arithmetic bit for bit and is the default; ``hierarchy`` prices each
 task against a per-node memory hierarchy through offline reuse-distance
 profiles of the kernel backends.  Selection goes through the shared
-:class:`repro.registry.Registry`: explicit names win, ``"auto"`` honors the
-``REPRO_COST_MODEL`` environment override, and absent both it resolves
-to ``flat``.
+:class:`repro.registry.Registry`: explicit names win and ``"auto"``
+resolves to ``flat``.
 """
 
 from .base import CostModel, WorkItem
@@ -15,9 +14,9 @@ from .hierarchy import (DEFAULT_HIERARCHY, HierarchyCostModel,
                         MemoryHierarchy, MemoryLevel, REFERENCE_RATE)
 from .profiler import (ReuseProfile, clear_profile_cache,
                        profile_cache_info, reuse_profile)
-from .registry import (AUTO, DEFAULT, ENV_VAR, cost_model_names,
+from .registry import (AUTO, DEFAULT, cost_model_names,
                        get_cost_model_class, make_cost_model,
-                       register_cost_model, requested_cost_model)
+                       register_cost_model)
 
 __all__ = [
     "CostModel", "WorkItem",
@@ -26,7 +25,6 @@ __all__ = [
     "HierarchyCostModel", "REFERENCE_RATE",
     "ReuseProfile", "reuse_profile", "profile_cache_info",
     "clear_profile_cache",
-    "AUTO", "DEFAULT", "ENV_VAR", "register_cost_model",
-    "cost_model_names", "get_cost_model_class", "requested_cost_model",
-    "make_cost_model",
+    "AUTO", "DEFAULT", "register_cost_model", "cost_model_names",
+    "get_cost_model_class", "make_cost_model",
 ]

@@ -1,9 +1,7 @@
 """Cost-model registry and the flat default behind ``"auto"``.
 
 Selection follows :class:`repro.registry.Registry`: explicit names
-(``"flat"``, ``"hierarchy"``) are honored as-is, ``"auto"`` consults
-``REPRO_COST_MODEL`` (the CI ``costmodel-smoke`` job forces
-``hierarchy`` over the whole suite this way) and otherwise resolves to
+(``"flat"``, ``"hierarchy"``) are honored as-is, ``"auto"`` resolves to
 ``"flat"`` — the seed arithmetic is the default, so every pre-existing
 scenario and golden is unchanged.
 """
@@ -13,20 +11,16 @@ from __future__ import annotations
 from ..registry import AUTO, Registry
 from .base import CostModel
 
-__all__ = ["AUTO", "DEFAULT", "ENV_VAR", "REGISTRY", "register_cost_model",
-           "cost_model_names", "get_cost_model_class",
-           "requested_cost_model", "make_cost_model"]
+__all__ = ["AUTO", "DEFAULT", "REGISTRY", "register_cost_model",
+           "cost_model_names", "get_cost_model_class", "make_cost_model"]
 
-#: What ``"auto"`` resolves to absent an override: the seed arithmetic.
+#: What ``"auto"`` resolves to: the seed arithmetic.
 DEFAULT = "flat"
-#: Environment variable forcing the resolution of ``"auto"`` requests.
-ENV_VAR = "REPRO_COST_MODEL"
 
-REGISTRY = Registry("cost model", ENV_VAR)
+REGISTRY = Registry("cost model")
 register_cost_model = REGISTRY.register
 cost_model_names = REGISTRY.names
 get_cost_model_class = REGISTRY.get
-requested_cost_model = REGISTRY.requested
 
 
 def make_cost_model(name: str = AUTO, memory=None) -> CostModel:
@@ -36,7 +30,5 @@ def make_cost_model(name: str = AUTO, memory=None) -> CostModel:
     from the cluster spec (``None`` = the model's own default); the
     flat model ignores it.
     """
-    resolved = requested_cost_model(name)
-    if resolved == AUTO:
-        resolved = DEFAULT
+    resolved = DEFAULT if name == AUTO else name
     return get_cost_model_class(resolved)(memory=memory)

@@ -427,9 +427,8 @@ def fault_recovery(nx: int = 32, sd_axis: int = 4, nodes: int = 3,
     temperatures still bit-near the serial solver.  Everything is
     pinned (``tree`` strategy, ``direct`` backend, ``flat`` cost
     model, block partition) so the committed
-    ``tests/golden/fault_recovery.json`` record is invariant under the
-    CI's REPRO_BALANCER / REPRO_KERNEL_BACKEND / REPRO_COST_MODEL
-    matrices and across machines.
+    ``tests/golden/fault_recovery.json`` record stays put if a default
+    ever changes, and is identical across machines.
     """
     # eps = 2h -> radius 2, ~13 stencil neighbors, ~26 flops per DP.
     # 3.8 guessed steps lands mid-step-2 while node 1 has kernels in

@@ -137,18 +137,18 @@ class RunRecord:
     #: summed eq.-(7) error (None when errors were not tracked)
     total_error: Optional[float] = None
     #: kernel backend that executed the numerics: the spec's request
-    #: after the env override and the radius heuristic resolved it
-    #: (deterministic, so sweep parity is unaffected; "" in records
-    #: written before the backend field existed)
+    #: after the radius heuristic resolved it (deterministic, so sweep
+    #: parity is unaffected; "" in records written before the backend
+    #: field existed)
     backend_resolved: str = ""
     #: balancing strategy the run was wired with: the policy's request
-    #: after the ``REPRO_BALANCER`` override and the ``auto`` default
-    #: resolved it ("" for serial runs and pre-strategy records)
+    #: after the ``auto`` default resolved it ("" for serial runs and
+    #: pre-strategy records)
     balancer_resolved: str = ""
     #: task-cost model that priced the run's simulated tasks: the
-    #: spec's request after the ``REPRO_COST_MODEL`` override and the
-    #: ``auto`` → ``flat`` default resolved it ("" for serial runs and
-    #: records written before the cost-model layer existed)
+    #: spec's request after the ``auto`` → ``flat`` default resolved
+    #: it ("" for serial runs and records written before the
+    #: cost-model layer existed)
     cost_model_resolved: str = ""
 
     @property

@@ -58,16 +58,14 @@ def cached_operator(nx: int, ny: int, eps_factor: float,
     ``backend`` is part of the cache key: an ``"fft"`` operator (with
     its cached mask transforms) is a different object from a
     ``"direct"`` one.  The key is *fully resolved* before memoization:
-    the ``REPRO_KERNEL_BACKEND`` override of ``"auto"`` is applied at
-    call time (a memoized key could not see environment changes), and
-    the radius heuristic is resolved from ``R = floor(eps_factor)`` —
-    so omitting the argument, passing ``"auto"``, and naming the
-    backend ``auto`` resolves to all share one entry (a backend sweep
-    does not rebuild the auto-selected operator).
+    ``"auto"`` is resolved by the radius heuristic from
+    ``R = floor(eps_factor)`` — so omitting the argument, passing
+    ``"auto"``, and naming the backend ``auto`` resolves to all share
+    one entry (a backend sweep does not rebuild the auto-selected
+    operator).
     """
-    from ..solver.backends import (AUTO, auto_backend_name,
-                                   requested_backend)
-    name = requested_backend(str(backend))
+    from ..solver.backends import AUTO, auto_backend_name
+    name = str(backend)
     if name == AUTO:
         # same inclusion tolerance as build_stencil: eps = eps_factor*h
         name = auto_backend_name(int(np.floor(
@@ -257,12 +255,11 @@ def run_sweep(specs: Iterable[ScenarioSpec],
     ``ProcessPoolExecutor``; ``executor.map`` preserves input order, and
     because the simulation is deterministic and records carry only plain
     JSON types, the parallel records are bit-identical to what
-    ``serial=True`` produces in this process.  Single-point sweeps (and
-    ``REPRO_SWEEP_SERIAL=1`` in the environment) skip the pool.
+    ``serial=True`` produces in this process.  Single-point sweeps skip
+    the pool.
     """
     specs = list(specs)
-    if (serial or len(specs) <= 1
-            or os.environ.get("REPRO_SWEEP_SERIAL") == "1"):
+    if serial or len(specs) <= 1:
         return [run_scenario(s) for s in specs]
     workers = min(len(specs), max_workers or os.cpu_count() or 1)
     payloads = [s.to_dict() for s in specs]

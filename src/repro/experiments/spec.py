@@ -786,8 +786,7 @@ class PolicySpec:
 
     ``balancer`` names the balancing strategy (``"auto"``, ``"tree"``,
     ``"diffusion"``, ``"greedy"``, ``"repartition"`` — see
-    :mod:`repro.core.strategies`).  ``"auto"`` honors the
-    ``REPRO_BALANCER`` environment override and defaults to the paper's
+    :mod:`repro.core.strategies`).  ``"auto"`` is the paper's
     Algorithm 1; validation is eager, like ``kernel_backend``, so an
     unknown name fails at spec construction rather than mid-sweep.
     """
@@ -856,17 +855,14 @@ class ScenarioSpec:
     ``kernel_backend`` names the kernel backend executing the operator
     applies (``"auto"``, ``"direct"``, ``"fft"``, ``"sparse"`` — see
     :mod:`repro.solver.backends`).  ``"auto"`` resolves by the radius
-    heuristic and honors the ``REPRO_KERNEL_BACKEND`` environment
-    override; under the default flat cost model the backend changes
+    heuristic; under the default flat cost model the backend changes
     numerics execution speed only, never the simulated schedule.
 
     ``cost_model`` names the task-cost model pricing simulated task
     times (``"auto"``, ``"flat"``, ``"hierarchy"`` — see
-    :mod:`repro.costmodel`).  ``"auto"`` honors the
-    ``REPRO_COST_MODEL`` environment override and defaults to
-    ``flat``, the seed arithmetic; ``hierarchy`` makes block shape and
-    kernel backend matter to the schedule via the cluster's
-    ``memory`` hierarchy.
+    :mod:`repro.costmodel`).  ``"auto"`` is ``flat``, the seed
+    arithmetic; ``hierarchy`` makes block shape and kernel backend
+    matter to the schedule via the cluster's ``memory`` hierarchy.
 
     ``work_factors`` pins explicit per-SD work multipliers (one per
     SD, non-negative) instead of deriving them from ``cracks`` — the
@@ -874,8 +870,7 @@ class ScenarioSpec:
 
     The balancing-strategy choice lives on the policy
     (``spec.policy.balancer``, surfaced here as the read-only
-    :attr:`balancer` property): ``"auto"`` honors ``REPRO_BALANCER``
-    and defaults to the paper's Algorithm 1.
+    :attr:`balancer` property): ``"auto"`` is the paper's Algorithm 1.
     """
 
     name: str

@@ -1,25 +1,24 @@
 """Name registry shared by the pluggable kinds: kernel backends,
 balancing strategies and cost models.
 
-Selection order for a requested name:
+Selection for a requested name depends only on the request:
 
 1. an explicit registered name is honored as-is — tests and ablations
    that pin an implementation get exactly that implementation;
-2. ``"auto"`` consults the kind's environment variable (the CI matrices
-   force one implementation over the whole suite this way; ``=auto``
-   means "no override");
-3. otherwise ``"auto"`` is returned unresolved, for the kind's own
-   default (a heuristic or a fixed name) to pick.
+2. ``"auto"`` is resolved by the kind's own default (a heuristic or a
+   fixed name) before the class is looked up.
+
+Nothing outside the request (no environment variable) takes part, so a
+run is fully set by its spec.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List
 
 __all__ = ["AUTO", "Registry"]
 
-#: The selection sentinel: resolve by env var, then the kind's default.
+#: The selection sentinel: resolve by the kind's default.
 AUTO = "auto"
 
 
@@ -27,13 +26,11 @@ class Registry:
     """Registered classes of one kind, keyed by name.
 
     ``noun`` names the kind in error messages (``"unknown kernel
-    backend 'x'"``); ``env_var`` is the variable that reroutes
-    ``"auto"`` requests.
+    backend 'x'"``).
     """
 
-    def __init__(self, noun: str, env_var: str) -> None:
+    def __init__(self, noun: str) -> None:
         self.noun = noun
-        self.env_var = env_var
         self._classes: Dict[str, type] = {}
 
     def register(self, name: str) -> Callable[[type], type]:
@@ -53,29 +50,13 @@ class Registry:
         return sorted(self._classes)
 
     def get(self, name: str) -> type:
-        """The class registered under ``name`` (``KeyError`` if none)."""
-        if name not in self._classes:
-            raise KeyError(f"unknown {self.noun} {name!r}; "
-                           f"known: {', '.join(self.names())}")
-        return self._classes[name]
+        """The class registered under ``name``.
 
-    def requested(self, name: str = AUTO) -> str:
-        """Validate ``name`` and apply the env override to ``auto``.
-
-        Returns a registered name or ``"auto"`` (still to be resolved by
-        the kind's default).  Explicit names win over the environment,
-        so forcing via ``env_var`` reroutes every default-configured run
-        without rewriting tests and ablations that pin a name.
+        An unknown name raises ``ValueError`` listing what would have
+        worked.  ``"auto"`` is not a registered name: the kind resolves
+        it to one before calling here.
         """
-        known = f"known: {', '.join(self.names())} (or {AUTO!r})"
-        if name == AUTO:
-            forced = os.environ.get(self.env_var, "").strip()
-            if not forced or forced == AUTO:
-                return AUTO
-            if forced not in self._classes:
-                raise ValueError(f"{self.env_var}={forced!r} names an "
-                                 f"unknown {self.noun}; {known}")
-            return forced
         if name not in self._classes:
-            raise ValueError(f"unknown {self.noun} {name!r}; {known}")
-        return name
+            raise ValueError(f"unknown {self.noun} {name!r}; known: "
+                             f"{', '.join(self.names())} (or {AUTO!r})")
+        return self._classes[name]

@@ -3,16 +3,14 @@
 Interchangeable implementations of the padded-block nonlocal operator
 apply ``L(u) = c V (W ⊛ u - S u)`` behind one interface
 (:class:`KernelBackend`), selected per run via the ``kernel_backend``
-field on :class:`repro.experiments.ScenarioSpec`, the CLI's
-``--backend`` flag, or the ``REPRO_KERNEL_BACKEND`` environment
-variable:
+field on :class:`repro.experiments.ScenarioSpec` or the CLI's
+``--backend`` flag:
 
 * ``direct`` — per-call dense convolution (the seed implementation);
 * ``fft``    — precomputed mask FFT per apply shape, the large-horizon
   winner (3-17x at ``eps = 8h``);
 * ``sparse`` — cached CSR matvec with the full operator folded in;
-* ``auto``   — radius heuristic (``fft`` for R >= 3, else ``direct``),
-  overridable by the environment.
+* ``auto``   — radius heuristic (``fft`` for R >= 3, else ``direct``).
 
 All backends are validated against :func:`apply_operator_reference`
 and against each other by the golden/property suites in
@@ -24,9 +22,8 @@ numerics do.
 
 from .base import (ConvolutionKernelBackend, KernelBackend,
                    apply_operator_reference)
-from .registry import (AUTO, ENV_VAR, auto_backend_name, backend_names,
-                       get_backend_class, make_backend, register_backend,
-                       requested_backend)
+from .registry import (AUTO, auto_backend_name, backend_names,
+                       get_backend_class, make_backend, register_backend)
 
 # importing the implementations registers them
 from .direct import DirectBackend
@@ -35,8 +32,7 @@ from .sparse import SparseBackend
 
 __all__ = [
     "KernelBackend", "ConvolutionKernelBackend", "apply_operator_reference",
-    "AUTO", "ENV_VAR", "register_backend", "backend_names",
-    "get_backend_class", "requested_backend", "auto_backend_name",
-    "make_backend",
+    "AUTO", "register_backend", "backend_names", "get_backend_class",
+    "auto_backend_name", "make_backend",
     "DirectBackend", "FFTBackend", "SparseBackend",
 ]

@@ -2,9 +2,8 @@
 
 Selection follows :class:`repro.registry.Registry`: explicit names
 (``"direct"``, ``"fft"``, ``"sparse"``) are honored as-is, ``"auto"``
-consults ``REPRO_KERNEL_BACKEND`` and otherwise resolves by the measured
-heuristic of :func:`auto_backend_name` (see DESIGN.md, *Kernel
-backends*).
+resolves by the measured heuristic of :func:`auto_backend_name` (see
+DESIGN.md, *Kernel backends*).
 """
 
 from __future__ import annotations
@@ -13,18 +12,13 @@ from ...mesh.stencil import NonlocalStencil
 from ...registry import AUTO, Registry
 from .base import KernelBackend
 
-__all__ = ["AUTO", "ENV_VAR", "REGISTRY", "register_backend",
-           "backend_names", "get_backend_class", "requested_backend",
-           "auto_backend_name", "make_backend"]
+__all__ = ["AUTO", "REGISTRY", "register_backend", "backend_names",
+           "get_backend_class", "auto_backend_name", "make_backend"]
 
-#: Environment variable forcing the resolution of ``"auto"`` requests.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-REGISTRY = Registry("kernel backend", ENV_VAR)
+REGISTRY = Registry("kernel backend")
 register_backend = REGISTRY.register
 backend_names = REGISTRY.names
 get_backend_class = REGISTRY.get
-requested_backend = REGISTRY.requested
 
 
 def auto_backend_name(radius: int) -> str:
@@ -51,7 +45,5 @@ def auto_backend_name(radius: int) -> str:
 def make_backend(name: str, stencil: NonlocalStencil,
                  scale: float) -> KernelBackend:
     """Instantiate the backend ``name`` resolves to for this stencil."""
-    resolved = requested_backend(name)
-    if resolved == AUTO:
-        resolved = auto_backend_name(stencil.radius)
+    resolved = auto_backend_name(stencil.radius) if name == AUTO else name
     return get_backend_class(resolved)(stencil, scale)

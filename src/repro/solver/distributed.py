@@ -163,9 +163,8 @@ class DistributedSolver:
     balancer, policy:
         Load balancing configuration.  ``balancer`` may be a strategy
         *name* (``"tree"``, ``"diffusion"``, ``"greedy"``,
-        ``"repartition"``, or ``"auto"`` — the ``REPRO_BALANCER``
-        override, else the paper's algorithm), a prebuilt
-        :class:`repro.core.strategies.BalanceStrategy`, or a
+        ``"repartition"``, or ``"auto"`` — the paper's algorithm), a
+        prebuilt :class:`repro.core.strategies.BalanceStrategy`, or a
         :class:`LoadBalancer` facade; the solver resolves names at
         construction.  ``None`` disables balancing outright (the
         pre-strategy contract), as does the default
@@ -214,9 +213,8 @@ class DistributedSolver:
         balance step.  The schedule is data, so runs stay bit-identical
         and process-parallel sweeps equal serial execution.
     cost_model:
-        Task-cost model name or prebuilt instance (``"auto"`` honors
-        the ``REPRO_COST_MODEL`` override, else ``"flat"`` — see
-        :mod:`repro.costmodel`).  ``flat`` reproduces the seed
+        Task-cost model name or prebuilt instance (``"auto"`` is
+        ``"flat"`` — see :mod:`repro.costmodel`).  ``flat`` reproduces the seed
         arithmetic bit for bit; ``hierarchy`` prices each SD task
         against the node memory hierarchy through offline
         reuse-distance profiles, so block shape and kernel backend

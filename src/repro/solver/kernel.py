@@ -13,8 +13,7 @@ implements natively.
 stencil and the prefactor and delegates the actual arithmetic to a
 pluggable *kernel backend* (:mod:`repro.solver.backends`) — dense
 convolution, precomputed-FFT, or cached sparse matvec — selected by
-name (default ``"auto"``: radius heuristic, overridable via the
-``REPRO_KERNEL_BACKEND`` environment variable).  It exposes
+name (default ``"auto"``: radius heuristic).  It exposes
 :meth:`~NonlocalOperator.apply` for the full grid and
 :meth:`~NonlocalOperator.apply_block` for SD-local application on a
 padded (ghost-augmented) block.

@@ -14,7 +14,7 @@ from repro.partition.metrics import parts_are_contiguous
 
 def make(sds=4):
     # pin the paper's algorithm: these tests assert Algorithm-1-specific
-    # outcomes and must not be rewritten by a forced REPRO_BALANCER
+    # outcomes
     sg = SubdomainGrid(4 * sds, 4 * sds, sds, sds)
     return sg, LoadBalancer(sg, strategy="tree")
 

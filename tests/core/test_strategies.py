@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.balancer import LoadBalancer
-from repro.core.strategies import (ENV_VAR, BalanceEvent, BalanceResult,
+from repro.core.strategies import (BalanceEvent, BalanceResult,
                                    auto_strategy_name, is_uniform_work,
                                    make_strategy, strategy_names)
 from repro.mesh.subdomain import SubdomainGrid
@@ -34,17 +34,10 @@ class TestRegistry:
     def test_all_strategies_registered(self):
         assert strategy_names() == list(ALL)
 
-    def test_auto_default_is_the_papers_algorithm(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_auto_default_is_the_papers_algorithm(self):
         assert auto_strategy_name() == "tree"
         sg = SubdomainGrid(16, 16, 4, 4)
         assert make_strategy("auto", sg).name == "tree"
-
-    def test_make_strategy_env_forced(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "repartition")
-        sg = SubdomainGrid(16, 16, 4, 4)
-        assert make_strategy("auto", sg).name == "repartition"
-        assert make_strategy("tree", sg).name == "tree"  # pin wins
 
     def test_loadbalancer_facade_resolves_and_reports(self):
         sg = SubdomainGrid(16, 16, 4, 4)

@@ -1,15 +1,14 @@
 """Cost-model selection: unresolved ``"auto"`` falls back to the
 ``flat`` default — the seed arithmetic — so every pre-existing scenario
-and golden is untouched.  The shared registry semantics (explicit names
-beat ``REPRO_COST_MODEL``, ``=auto`` means "no override") are tested
+and golden is untouched.  The shared registry semantics are tested
 once, in ``tests/test_name_registry.py``.
 """
 
 import pytest
 
-from repro.costmodel import (AUTO, DEFAULT, ENV_VAR, CostModel,
-                             FlatCostModel, HierarchyCostModel, WorkItem,
-                             cost_model_names, make_cost_model)
+from repro.costmodel import (DEFAULT, CostModel, FlatCostModel,
+                             HierarchyCostModel, WorkItem, cost_model_names,
+                             make_cost_model)
 from repro.costmodel.hierarchy import DEFAULT_HIERARCHY, MemoryHierarchy, \
     MemoryLevel
 
@@ -22,21 +21,13 @@ class TestRegistry:
 
     def test_default_is_flat(self):
         assert DEFAULT == "flat"
-        assert ENV_VAR == "REPRO_COST_MODEL"
 
 
 class TestMakeCostModel:
-    def test_auto_resolves_to_flat(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_auto_resolves_to_flat(self):
         model = make_cost_model()
         assert isinstance(model, FlatCostModel)
         assert model.name == "flat"
-
-    def test_env_reroutes_auto(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "hierarchy")
-        assert isinstance(make_cost_model(AUTO), HierarchyCostModel)
-        # ...but an explicit request keeps its pin
-        assert isinstance(make_cost_model("flat"), FlatCostModel)
 
     def test_memory_reaches_the_hierarchy_model(self):
         ladder = MemoryHierarchy(levels=(
@@ -55,7 +46,7 @@ class TestMakeCostModel:
 
 class TestSolverResolution:
     """The DistributedSolver resolves its cost model exactly like its
-    kernel backend: spec name → env override of auto → flat default."""
+    kernel backend: spec name, else the ``auto`` → flat default."""
 
     def make_solver(self, **kw):
         from repro.mesh.grid import UniformGrid
@@ -69,23 +60,12 @@ class TestSolverResolution:
         return DistributedSolver(model, grid, sg, block_partition(2, 2, 2),
                                  num_nodes=2, compute_numerics=False, **kw)
 
-    def test_default_is_flat(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_default_is_flat(self):
         solver = self.make_solver()
         assert solver.cost_model_resolved == "flat"
         assert isinstance(solver.cost_model, FlatCostModel)
 
-    def test_env_forces_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "hierarchy")
-        assert self.make_solver().cost_model_resolved == "hierarchy"
-
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "hierarchy")
-        assert self.make_solver(
-            cost_model="flat").cost_model_resolved == "flat"
-
-    def test_prebuilt_instance_accepted(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "flat")
+    def test_prebuilt_instance_accepted(self):
         prebuilt = HierarchyCostModel()
         solver = self.make_solver(cost_model=prebuilt)
         assert solver.cost_model is prebuilt
@@ -96,8 +76,7 @@ class TestSolverResolution:
         with pytest.raises(ValueError, match="unknown cost model"):
             self.make_solver(cost_model="oracle")
 
-    def test_record_carries_the_resolved_model(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_record_carries_the_resolved_model(self):
         from repro.experiments import build, run_scenario
         auto = run_scenario(build("quickstart", nx=16, sd_axis=2, nodes=2,
                                   steps=1))

@@ -1,15 +1,15 @@
 """Flat-model bit-parity: the cost-model layer must be invisible.
 
 The refactor's safety contract (DESIGN.md substitution 7): with the
-``flat`` model — whether requested explicitly, resolved from ``auto``,
-or forced through ``REPRO_COST_MODEL`` — every schedule is
-bit-identical to the pre-refactor seed arithmetic.  Pinned here as
+``flat`` model — whether requested explicitly or resolved from
+``auto`` — every schedule is bit-identical to the pre-refactor seed
+arithmetic.  Pinned here as
 
 * the ``fault_recovery`` golden (committed before the cost-model layer
   existed; its schedule values must keep matching exactly),
-* RunRecord equality between ``auto``-resolved, explicitly pinned, and
-  env-forced flat runs, on the distributed solver and on all three
-  curated service workloads, with wave batching on and off.
+* RunRecord equality between ``auto``-resolved and explicitly pinned
+  flat runs, on the distributed solver and on all three curated
+  service workloads, with wave batching on and off.
 """
 
 import json
@@ -17,7 +17,6 @@ import os
 
 import pytest
 
-from repro.costmodel import ENV_VAR
 from repro.experiments import build, run_scenario
 from repro.service.runner import run_service
 
@@ -57,23 +56,17 @@ class TestDistributedFlatParity:
             assert rec[field] == golden[field], field
         assert rec["cost_model_resolved"] == "flat"
 
-    def test_auto_explicit_and_env_flat_agree(self, monkeypatch):
+    def test_auto_and_explicit_flat_agree(self):
         spec = build("quickstart", nx=32, sd_axis=4, nodes=4, steps=3)
-        monkeypatch.delenv(ENV_VAR, raising=False)
         auto = run_scenario(spec)
-        monkeypatch.setenv(ENV_VAR, "flat")
-        forced = run_scenario(spec)
-        assert records_equal(auto, forced)  # specs both say "auto"
-        monkeypatch.delenv(ENV_VAR, raising=False)
         pinned = run_scenario(spec.replace(cost_model="flat"))
         assert pinned.cost_model_resolved == auto.cost_model_resolved \
             == "flat"
         assert records_equal(auto, pinned, ignore_spec=True)
 
-    def test_hierarchy_actually_changes_the_schedule(self, monkeypatch):
+    def test_hierarchy_actually_changes_the_schedule(self):
         """The parity above is meaningful only if a non-flat model
         would have been visible."""
-        monkeypatch.delenv(ENV_VAR, raising=False)
         spec = build("quickstart", nx=32, sd_axis=4, nodes=4, steps=3)
         flat = run_scenario(spec)
         hier = run_scenario(spec.replace(cost_model="hierarchy"))
@@ -84,19 +77,11 @@ class TestServiceFlatParity:
     @pytest.mark.parametrize("scenario", SERVICE_SCENARIOS)
     @pytest.mark.parametrize("waves", [True, False],
                              ids=["waves-on", "waves-off"])
-    def test_env_flat_is_a_noop(self, monkeypatch, scenario, waves):
+    def test_explicit_flat_pin_is_a_noop(self, scenario, waves):
         spec = build(scenario)
-        monkeypatch.delenv(ENV_VAR, raising=False)
         auto = run_service(spec, wave_batching=waves)
-        monkeypatch.setenv(ENV_VAR, "flat")
-        forced = run_service(spec, wave_batching=waves)
-        assert auto.cost_model_resolved == forced.cost_model_resolved \
+        pinned = run_service(spec.replace(cost_model="flat"),
+                             wave_batching=waves)
+        assert auto.cost_model_resolved == pinned.cost_model_resolved \
             == "flat"
-        assert records_equal(auto, forced)
-
-    @pytest.mark.parametrize("scenario", SERVICE_SCENARIOS)
-    def test_explicit_flat_pin_is_a_noop(self, monkeypatch, scenario):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        auto = run_service(build(scenario))
-        pinned = run_service(build(scenario).replace(cost_model="flat"))
         assert records_equal(auto, pinned, ignore_spec=True)

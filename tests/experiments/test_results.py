@@ -58,8 +58,7 @@ class TestRunRecord:
         assert rec.migration_bytes == sum(e["migration_bytes"]
                                           for e in rec.balance_events)
 
-    def test_balancer_resolved_recorded(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BALANCER", raising=False)
+    def test_balancer_resolved_recorded(self):
         assert _record().balancer_resolved == "tree"  # the auto default
         rec = run_scenario(build("fig14_load_balance",
                                  steps=1).with_balancer("greedy"))

@@ -46,16 +46,14 @@ class TestOperatorCache:
         assert cached_operator(32, 32, 8.0, "fft") is fft
         assert operator_cache_info().misses == 3
 
-    def test_default_and_explicit_auto_share_one_entry(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+    def test_default_and_explicit_auto_share_one_entry(self):
         clear_operator_cache()
         assert cached_operator(32, 32, 8.0) is cached_operator(
             32, 32, 8.0, "auto")
 
-    def test_auto_shares_the_entry_of_its_resolution(self, monkeypatch):
+    def test_auto_shares_the_entry_of_its_resolution(self):
         """The key is fully resolved: a backend sweep over auto + the
         name auto resolves to must not rebuild the same operator."""
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
         clear_operator_cache()
         assert cached_operator(32, 32, 8.0) is cached_operator(
             32, 32, 8.0, "fft")         # R = 8 -> fft
@@ -63,21 +61,33 @@ class TestOperatorCache:
             32, 32, 2.0, "direct")      # R = 2 -> direct
         assert operator_cache_info().misses == 2
 
-    def test_env_override_resolves_before_the_cache(self, monkeypatch):
-        """Forcing via REPRO_KERNEL_BACKEND must key the cache on the
-        resolved name, so a later unforced call cannot be served a
-        forced operator (and vice versa)."""
+
+class TestRecordDependsOnlyOnItsSpec:
+    """A record is reproducible from its spec alone: the environment
+    variables that once rerouted ``"auto"`` requests are ignored."""
+
+    STALE_OVERRIDES = {"REPRO_BALANCER": "diffusion",
+                       "REPRO_KERNEL_BACKEND": "sparse",
+                       "REPRO_COST_MODEL": "hierarchy"}
+
+    def test_auto_specs_reproduce_in_any_environment(self, monkeypatch):
+        for var in self.STALE_OVERRIDES:
+            monkeypatch.delenv(var, raising=False)
+        scenario = build("hetero_drift", steps=4)
+        service = build("service_poisson")
+        clean = [run_scenario(scenario), run_scenario(service)]
+        for var, value in self.STALE_OVERRIDES.items():
+            monkeypatch.setenv(var, value)
         clear_operator_cache()
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "sparse")
-        forced = cached_operator(32, 32, 8.0)
-        assert forced.backend_name == "sparse"
-        assert forced is cached_operator(32, 32, 8.0, "sparse")
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND")
-        unforced = cached_operator(32, 32, 8.0)
-        assert unforced is not forced
-        # explicit names ignore the environment entirely
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "direct")
-        assert cached_operator(32, 32, 8.0, "fft").backend_name == "fft"
+        dirty = [run_scenario(scenario), run_scenario(service)]
+        assert dirty == clean
+        rec, svc = dirty
+        assert scenario.balancer == scenario.kernel_backend == "auto"
+        assert scenario.cost_model == service.cost_model == "auto"
+        assert rec.balancer_resolved == "tree"
+        assert rec.backend_resolved == "fft"      # R = 8 -> fft
+        assert rec.cost_model_resolved == svc.cost_model_resolved == "flat"
+        assert cached_operator(32, 32, 8.0).backend_name == "fft"
 
 
 class TestBuildSolver:
@@ -94,11 +104,7 @@ class TestBuildSolver:
         assert solver.balancer is not None
         # the policy decides whether balancing runs; the strategy is
         # always wired (name resolved from spec.policy.balancer)
-        from repro.core.strategies import requested_strategy
-        expected = requested_strategy("auto")
-        if expected == "auto":
-            expected = "tree"
-        assert solver.balancer.name == expected
+        assert solver.balancer.name == "tree"
         off = spec.replace(policy=PolicySpec())
         off_solver = build_solver(off)
         assert not off_solver.run(None, 1).balance_events
@@ -182,8 +188,7 @@ class TestRunScenario:
             assert rec.total_error == pytest.approx(recs[0].total_error,
                                                     rel=1e-10)
 
-    def test_record_carries_the_resolved_backend(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+    def test_record_carries_the_resolved_backend(self):
         from repro.solver.backends import backend_names
         pinned = run_scenario(build("quickstart", nx=16, sd_axis=2, nodes=2,
                                     steps=1).replace(kernel_backend="sparse"))
@@ -245,11 +250,6 @@ class TestRunSweep:
         serial = run_sweep(specs, serial=True)
         parallel = run_sweep(specs, serial=False, max_workers=2)
         assert parallel == serial  # RunRecord dataclass equality, all fields
-
-    def test_env_forces_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_SERIAL", "1")
-        recs = run_sweep(self._specs())
-        assert len(recs) == 4
 
     def test_invalid_point_fails_at_construction(self):
         with pytest.raises(ValueError):

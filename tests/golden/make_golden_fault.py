@@ -11,8 +11,8 @@ which node 1 fails mid-run — its SDs are evacuated through the pinned
 penalty, and the final temperatures still match the serial solver.
 
 Everything the scenario depends on is pinned (``tree`` balancer,
-``direct`` kernel backend, block partition), so the record is invariant
-under the CI's ``REPRO_BALANCER``/``REPRO_KERNEL_BACKEND`` matrices.
+``direct`` kernel backend, ``flat`` cost model, block partition), so
+the record does not move if an ``auto`` default ever changes.
 Virtual-time fields (makespan, step durations, events) are
 machine-independent and compared exactly by the regression test
 (``tests/solver/test_fault_recovery.py``); the numeric error fields are

@@ -15,8 +15,9 @@ The elastic-cluster invariants (DESIGN.md substitution 4) must hold for
 Schedules are drawn valid-by-construction (increasing times, fails only
 while >= 2 nodes live, sequential join ids) over a small schedule-only
 scenario so hundreds of runs stay cheap.  A fixed "forced" schedule is
-also pinned per balancer — that is what the CI chaos matrix exercises
-under each ``REPRO_BALANCER``.
+also pinned per balancer; ``tests/integration/test_composition.py``
+reuses it, with :func:`assert_churn_invariants`, to cross every
+balancer with every other pluggable axis.
 """
 
 import numpy as np
@@ -113,12 +114,20 @@ def assert_churn_invariants(rec, num_sds=16):
     # ownership may hand anything back to it.  The evacuation entry is
     # the first event at or after the failure's step that excludes the
     # dead node (entries are chronological; same-step entries recorded
-    # before the failure may still legitimately include it).
+    # before the failure may still legitimately include it).  A joiner
+    # owns nothing until it is absorbed, so for a joiner the search
+    # starts at its first ownership: entries recorded before it joined
+    # exclude it even when they share its failure's step.
     fail_steps = {e["node"]: e["step"] for e in rec.recovery_events
                   if e["kind"] == "fail"}
+    joiners = {e["node"] for e in rec.recovery_events if e["kind"] == "join"}
     for node, fail_step in fail_steps.items():
+        start = 0
+        if node in joiners:
+            start = next((i for i, (_s, p) in enumerate(rec.parts_events)
+                          if node in p), 0)
         tail = [i for i, (s, p) in enumerate(rec.parts_events)
-                if s >= fail_step and node not in p]
+                if i >= start and s >= fail_step and node not in p]
         assert tail, f"no evacuation recorded for dead node {node}"
         for s, parts in rec.parts_events[tail[0]:]:
             assert node not in parts, \
@@ -166,13 +175,21 @@ class TestChaos:
             assert e["recovery"] and e["strategy"] == "evacuate"
 
 
-#: The forced schedule the CI chaos matrix drives through every
-#: registered balancer: an early straggle, a mid-run failure, a late
-#: join — all three churn kinds in one run.
+#: The forced schedule driven through every registered balancer: an
+#: early straggle, a mid-run failure, a late join — all three churn
+#: kinds in one run.
 FORCED = FaultSpec(events=(
     ChurnEvent("straggle", 0.08e-4, 2, stop=0.3e-4, factor=0.4),
     ChurnEvent("fail", 0.35e-4, 0),
     ChurnEvent("join", 0.6e-4, 3, rate=1.5e9),
+))
+
+#: A joiner that fails between its absorption and the next step start:
+#: its join, absorption and evacuation all carry one step label.
+JOIN_THEN_FAIL = FaultSpec(events=(
+    ChurnEvent("fail", 0.6e-5, 0),
+    ChurnEvent("join", 1.0e-5, 3, rate=1e9),
+    ChurnEvent("fail", 1.4e-5, 3),
 ))
 
 
@@ -188,6 +205,15 @@ class TestForcedSchedule:
         # at least the evacuation event is recovery-tagged
         assert any(e["recovery"] for e in rec.balance_events)
 
+    def test_joiner_failing_in_its_join_step(self, name):
+        """The checker must not mistake the entries recorded before the
+        join for the joiner's evacuation."""
+        rec = run_scenario(base_spec(faults=JOIN_THEN_FAIL, balancer=name))
+        assert len({e["step"] for e in rec.recovery_events}) == 1
+        assert any(3 in parts for _step, parts in rec.parts_events)
+        assert_churn_invariants(rec)
+        assert failed_before_end(rec) == [0, 3]
+
     def test_sweep_bit_identical_to_serial(self, name):
         """The acceptance contract under churn: a process-pool sweep
         over fault scenarios equals serial execution bit for bit."""
@@ -196,25 +222,6 @@ class TestForcedSchedule:
         serial = run_sweep(specs, serial=True)
         parallel = run_sweep(specs, serial=False, max_workers=2)
         assert parallel == serial
-
-
-class TestForcedScheduleFollowsEnv:
-    """The CI chaos matrix forces each strategy via ``REPRO_BALANCER``;
-    an ``auto``-configured churn run must route its recovery through
-    the forced strategy (this is the test that actually differs
-    between matrix legs — the parametrized classes above pin their
-    balancer explicitly and are env-invariant)."""
-
-    def test_auto_resolves_through_env_under_churn(self):
-        from repro.core.strategies import requested_strategy
-        expected = requested_strategy("auto")
-        if expected == "auto":
-            expected = "tree"
-        rec = run_scenario(base_spec(faults=FORCED, balancer="auto"))
-        assert_churn_invariants(rec)
-        assert rec.balancer_resolved == expected
-        assert all(e["strategy"] in (expected, "evacuate")
-                   for e in rec.balance_events)
 
 
 class TestCuratedScenarioDeterminism:

@@ -72,8 +72,7 @@ class TestMidHorizonCut:
         from repro.service.manager import JobManager
 
         # cost model pinned to flat: the hand-rolled JobManager below
-        # prices with the FLAT default, so run_service must too even
-        # under a REPRO_COST_MODEL override
+        # prices with the FLAT default, so run_service must too
         spec = build("service_overload").replace(cost_model="flat")
 
         def run(cut):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.mesh.grid import UniformGrid
 from repro.mesh.stencil import NonlocalStencil, build_stencil
-from repro.solver.backends import (AUTO, ENV_VAR, KernelBackend,
+from repro.solver.backends import (AUTO, KernelBackend,
                                    apply_operator_reference,
                                    auto_backend_name, backend_names,
                                    make_backend)
@@ -52,8 +52,7 @@ class TestRegistry:
         assert auto_backend_name(3) == "fft"
         assert auto_backend_name(8) == "fft"
 
-    def test_make_backend_resolves_auto(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_make_backend_resolves_auto(self):
         rng = np.random.default_rng(1)
         small = make_backend(AUTO, random_stencil(rng, 1), 1.0)
         large = make_backend(AUTO, random_stencil(rng, 4), 1.0)
@@ -72,13 +71,8 @@ class TestOperatorBackendSelection:
     def test_named_backend_used(self, backend):
         assert self.make_op(backend=backend).backend_name == backend
 
-    def test_default_is_auto_heuristic(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_default_is_auto_heuristic(self):
         assert self.make_op().backend_name == "fft"  # R = 4
-
-    def test_env_forces_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "sparse")
-        assert self.make_op().backend_name == "sparse"
 
     def test_prebuilt_backend_instance_accepted(self):
         op = self.make_op(backend="direct")
