@@ -82,33 +82,6 @@ class TaskExecutor:
         """Submit ``fn(item)`` for every item; return the list of futures."""
         return [self.async_(fn, item) for item in items]
 
-    def submit_wave(self, fn: Callable[..., Any], items: List[Any]) -> List[Future]:
-        """Run ``fn(item)`` for a homogeneous batch as *one* queued item.
-
-        The executor analogue of the simulator's task-wave batching: a
-        run of small homogeneous tasks pays one queue round-trip and one
-        worker wake-up instead of ``len(items)``.  The items execute
-        sequentially on a single worker (in order, each future resolving
-        as its item finishes), so use this for batches whose per-item
-        cost is too small to amortize queue overhead — not for work that
-        should spread across workers.
-        """
-        if self._shutdown:
-            raise RuntimeError("executor has been shut down")
-        futures = [Future() for _ in items]
-
-        def run_wave() -> None:
-            for item, fut in zip(items, futures):
-                try:
-                    result = fn(item)
-                except BaseException as exc:  # noqa: BLE001 - forwarded
-                    fut._set_exception(exc)
-                else:
-                    fut._set_value(result)
-
-        self._queue.put(_WorkItem(run_wave, (), {}, Future()))
-        return futures
-
     # -- accounting -----------------------------------------------------
     def busy_time(self) -> float:
         """Total seconds all workers spent executing task bodies."""

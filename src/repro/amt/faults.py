@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
+from ..codec import Codec
+
 __all__ = ["ChurnEvent", "FaultSchedule", "RecoveryEvent",
            "DEFAULT_RECOVERY_PENALTY"]
 
@@ -33,7 +35,7 @@ DEFAULT_RECOVERY_PENALTY = 0.25
 
 
 @dataclass(frozen=True)
-class ChurnEvent:
+class ChurnEvent(Codec):
     """One scheduled membership/capacity change, in virtual time.
 
     Kinds
@@ -96,18 +98,9 @@ class ChurnEvent:
                 raise ValueError(
                     f"straggle factor must be in (0, 1], got {self.factor}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "time": self.time, "node": self.node,
-                "cores": self.cores, "rate": self.rate, "stop": self.stop,
-                "factor": self.factor}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "ChurnEvent":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class FaultSchedule:
+class FaultSchedule(Codec):
     """A validated churn schedule bound to an initial cluster size.
 
     The whole schedule is known up front (fault injection, not fault
@@ -139,15 +132,13 @@ class FaultSchedule:
         if self.initial_nodes < 1:
             raise ValueError(
                 f"initial_nodes must be >= 1, got {self.initial_nodes}")
-        events = tuple(e if isinstance(e, ChurnEvent)
-                       else ChurnEvent.from_dict(e) for e in self.events)
         # stable, fully deterministic order: time, then kind rank
         # (joins before fails before straggles at equal times — a
         # same-instant join+fail pair leaves the cluster non-empty),
         # then declaration order via the original index
         rank = {"join": 0, "fail": 1, "straggle": 2}
         events = tuple(sorted(
-            events, key=lambda e: (e.time, rank[e.kind])))
+            self.events, key=lambda e: (e.time, rank[e.kind])))
         _set("events", events)
         _set("recovery_penalty", float(self.recovery_penalty))
         if self.recovery_penalty < 0:
@@ -216,21 +207,9 @@ class FaultSchedule:
         return [e for e in self.events
                 if e.kind == "straggle" and e.node == node]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"initial_nodes": self.initial_nodes,
-                "events": [e.to_dict() for e in self.events],
-                "recovery_penalty": self.recovery_penalty}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "FaultSchedule":
-        d = dict(d)
-        d["events"] = tuple(ChurnEvent.from_dict(e)
-                            for e in d.get("events", ()))
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class RecoveryEvent:
+class RecoveryEvent(Codec):
     """One fault handled by the solver, as the run telemetry records it.
 
     ``fail`` events carry the evacuation/requeue accounting:
@@ -252,14 +231,3 @@ class RecoveryEvent:
     sds_evacuated: int = 0
     tasks_requeued: int = 0
     recovery_bytes: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"time": self.time, "kind": self.kind, "node": self.node,
-                "step": self.step,
-                "sds_evacuated": self.sds_evacuated,
-                "tasks_requeued": self.tasks_requeued,
-                "recovery_bytes": self.recovery_bytes}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "RecoveryEvent":
-        return cls(**d)

@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...codec import Codec
 from ...mesh.decomposition import Decomposition
 from ...mesh.subdomain import SubdomainGrid
 from ..power import compute_power, expected_sds, imbalance_ratio, integer_targets
@@ -177,7 +178,7 @@ class BalanceResult:
 
 
 @dataclass(frozen=True)
-class BalanceEvent:
+class BalanceEvent(Codec):
     """One balancer invocation as the run telemetry records it.
 
     Emitted every time the policy fires (including no-op decisions, so
@@ -197,18 +198,6 @@ class BalanceEvent:
     #: (evacuation after a failure, or absorption of a joiner) — kept
     #: defaulted so pre-churn event dicts still round-trip
     recovery: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"step": self.step, "strategy": self.strategy,
-                "sds_moved": self.sds_moved,
-                "migration_bytes": self.migration_bytes,
-                "imbalance_before": self.imbalance_before,
-                "imbalance_after": self.imbalance_after,
-                "recovery": self.recovery}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "BalanceEvent":
-        return cls(**d)
 
 
 class _StepContext:

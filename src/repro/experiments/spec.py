@@ -15,17 +15,20 @@ Design rules:
 * every spec validates eagerly in ``__post_init__`` (``ValueError`` with
   a actionable message) so a bad sweep point fails at construction, not
   three layers deep inside the solver;
-* ``to_dict``/``from_dict`` round-trip exactly:
-  ``Spec.from_dict(spec.to_dict()) == spec`` — the contract the sweep
-  runner and the JSON result files rely on.
+* ``to_dict``/``from_dict`` come from :class:`repro.codec.Codec`,
+  derived from the dataclass fields, so
+  ``Spec.from_dict(spec.to_dict()) == spec`` holds by construction —
+  the contract the sweep runner and the JSON result files rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
 import numpy as np
+
+from ..codec import Codec
 
 # the fault layer is pure data (frozen dataclasses, no heavy deps), so
 # reusing its event type keeps one schema for churn schedules instead of
@@ -50,7 +53,7 @@ def _set(obj: Any, name: str, value: Any) -> None:
 
 
 @dataclass(frozen=True)
-class MeshSpec:
+class MeshSpec(Codec):
     """Discretization geometry: DP mesh, SD coarsening, horizon ratio.
 
     ``ny``/``sd_ny`` default to their x-counterparts (square meshes are
@@ -91,17 +94,9 @@ class MeshSpec:
         from ..mesh.subdomain import SubdomainGrid
         return SubdomainGrid(self.nx, self.ny, self.sd_nx, self.sd_ny)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"nx": self.nx, "ny": self.ny, "sd_nx": self.sd_nx,
-                "sd_ny": self.sd_ny, "eps_factor": self.eps_factor}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "MeshSpec":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class InterferenceSpec:
+class InterferenceSpec(Codec):
     """A competing job on ``node`` during ``[start, stop)`` of virtual
     time, scaling its rate by ``slowdown`` (paper Sec. 4, challenge 4)."""
 
@@ -121,17 +116,9 @@ class InterferenceSpec:
         _require(0 < self.slowdown <= 1,
                  f"slowdown must be in (0, 1], got {self.slowdown}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"node": self.node, "start": self.start, "stop": self.stop,
-                "slowdown": self.slowdown}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "InterferenceSpec":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class DriftSpec:
+class DriftSpec(Codec):
     """Linear per-node capacity drift over a virtual-time window.
 
     Node ``i`` ramps from its base rate (``ClusterSpec.speed_rates[i]``,
@@ -156,19 +143,9 @@ class DriftSpec:
         _require(0 <= self.start < self.stop,
                  f"need 0 <= start < stop, got [{self.start}, {self.stop}]")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"rates_end": list(self.rates_end), "start": self.start,
-                "stop": self.stop}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "DriftSpec":
-        d = dict(d)
-        d["rates_end"] = tuple(d.get("rates_end", ()))
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Codec):
     """A declarative churn schedule (elastic cluster, DESIGN.md
     substitution 4): node failures, joins, and transient straggle
     windows at fixed virtual times, plus the recovery penalty charged
@@ -186,9 +163,7 @@ class FaultSpec:
     recovery_penalty: float = DEFAULT_RECOVERY_PENALTY
 
     def __post_init__(self) -> None:
-        events = tuple(e if isinstance(e, ChurnEvent)
-                       else ChurnEvent.from_dict(e) for e in self.events)
-        _set(self, "events", events)
+        _set(self, "events", tuple(self.events))
         _set(self, "recovery_penalty", float(self.recovery_penalty))
         _require(self.recovery_penalty >= 0,
                  f"recovery_penalty must be >= 0, "
@@ -198,20 +173,9 @@ class FaultSpec:
         """The validated runtime schedule for an ``num_nodes`` cluster."""
         return FaultSchedule(num_nodes, self.events, self.recovery_penalty)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"events": [e.to_dict() for e in self.events],
-                "recovery_penalty": self.recovery_penalty}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "FaultSpec":
-        d = dict(d)
-        d["events"] = tuple(ChurnEvent.from_dict(e)
-                            for e in d.get("events", ()))
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(Codec):
     """Declarative network topology (DESIGN.md substitution 5).
 
     ``kind`` selects the model from :mod:`repro.amt.topology`:
@@ -363,33 +327,9 @@ class TopologySpec:
                             else self.rack_bandwidth),
             wan_racks=self.wan_racks, **kwargs)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind, "rack_size": self.rack_size,
-            "latency": self.latency, "bandwidth": self.bandwidth,
-            "oversubscription": self.oversubscription,
-            "uplink_latency": self.uplink_latency,
-            "uplink_bandwidth": self.uplink_bandwidth,
-            "rack_latency": self.rack_latency,
-            "rack_bandwidth": self.rack_bandwidth,
-            "wan_latency": self.wan_latency,
-            "wan_bandwidth": self.wan_bandwidth,
-            "wan_racks": list(self.wan_racks),
-            "racks": None if self.racks is None else list(self.racks),
-            "join_rack": self.join_rack,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "TopologySpec":
-        d = dict(d)
-        d["wan_racks"] = tuple(d.get("wan_racks", ()))
-        if d.get("racks") is not None:
-            d["racks"] = tuple(d["racks"])
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class MemoryLevelSpec:
+class MemoryLevelSpec(Codec):
     """One cache level of a node's memory hierarchy (see
     :class:`repro.costmodel.MemoryLevel`): byte capacity, streaming
     bandwidth, and per-access latency."""
@@ -412,14 +352,6 @@ class MemoryLevelSpec:
         _require(self.latency >= 0,
                  f"latency must be >= 0, got {self.latency}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "capacity": self.capacity,
-                "bandwidth": self.bandwidth, "latency": self.latency}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "MemoryLevelSpec":
-        return cls(**d)
-
 
 #: The defaults mirror :data:`repro.costmodel.DEFAULT_HIERARCHY`.
 _DEFAULT_MEMORY_LEVELS = (
@@ -430,7 +362,7 @@ _DEFAULT_MEMORY_LEVELS = (
 
 
 @dataclass(frozen=True)
-class MemorySpec:
+class MemorySpec(Codec):
     """A node memory hierarchy for shape-aware cost models.
 
     Declares the cache ladder the ``hierarchy`` cost model prices
@@ -446,12 +378,7 @@ class MemorySpec:
     dram_latency: float = 8e-8
 
     def __post_init__(self) -> None:
-        levels = []
-        for entry in self.levels:
-            if isinstance(entry, dict):
-                entry = MemoryLevelSpec.from_dict(entry)
-            levels.append(entry)
-        _set(self, "levels", tuple(levels))
+        _set(self, "levels", tuple(self.levels))
         _set(self, "dram_bandwidth", float(self.dram_bandwidth))
         _set(self, "dram_latency", float(self.dram_latency))
         # eager validation: level ordering and DRAM parameters fail at
@@ -467,23 +394,9 @@ class MemorySpec:
             dram_bandwidth=self.dram_bandwidth,
             dram_latency=self.dram_latency)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"levels": [lv.to_dict() for lv in self.levels],
-                "dram_bandwidth": self.dram_bandwidth,
-                "dram_latency": self.dram_latency}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "MemorySpec":
-        d = dict(d)
-        if "levels" in d:
-            d["levels"] = tuple(MemoryLevelSpec.from_dict(lv)
-                                if isinstance(lv, dict) else lv
-                                for lv in d["levels"])
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(Codec):
     """Simulated cluster shape: nodes, cores, speeds, network, overheads.
 
     ``speed_rates`` are per-node constant rates in work units per virtual
@@ -533,16 +446,9 @@ class ClusterSpec:
                      f"for {self.num_nodes} nodes")
             _require(all(r > 0 for r in self.speed_rates),
                      "speed_rates must all be positive")
-        items = []
-        for entry in self.interference:
-            if isinstance(entry, dict):
-                entry = InterferenceSpec.from_dict(entry)
-            items.append(entry)
-        _set(self, "interference", tuple(items))
+        _set(self, "interference", tuple(self.interference))
         _require(all(i.node < self.num_nodes for i in self.interference),
                  "interference entries must target existing nodes")
-        if isinstance(self.drift, dict):
-            _set(self, "drift", DriftSpec.from_dict(self.drift))
         if self.drift is not None:
             _require(len(self.drift.rates_end) == self.num_nodes,
                      f"drift has {len(self.drift.rates_end)} end rates "
@@ -561,20 +467,14 @@ class ClusterSpec:
         _set(self, "spawn_overhead", float(self.spawn_overhead))
         _require(self.spawn_overhead >= 0,
                  f"spawn_overhead must be >= 0, got {self.spawn_overhead}")
-        if isinstance(self.faults, dict):
-            _set(self, "faults", FaultSpec.from_dict(self.faults))
         if self.faults is not None:
             # eager membership validation: a bad schedule fails here
             self.faults.build(self.num_nodes)
-        if isinstance(self.topology, dict):
-            _set(self, "topology", TopologySpec.from_dict(self.topology))
         if self.topology is not None:
             # eager validation: a rack list shorter than the cluster
             # (or any bad link parameter) fails here, not mid-sweep
             self.topology.build(self.num_nodes, self.latency,
                                 self.bandwidth)
-        if isinstance(self.memory, dict):
-            _set(self, "memory", MemorySpec.from_dict(self.memory))
 
     # -- builders (data -> runtime objects) -------------------------------
     def build_faults(self):
@@ -621,45 +521,9 @@ class ClusterSpec:
             return None
         return self.memory.build()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "num_nodes": self.num_nodes,
-            "cores_per_node": self.cores_per_node,
-            "speed_rates": (None if self.speed_rates is None
-                            else list(self.speed_rates)),
-            "interference": [i.to_dict() for i in self.interference],
-            "drift": None if self.drift is None else self.drift.to_dict(),
-            "latency": self.latency,
-            "bandwidth": self.bandwidth,
-            "spawn_overhead": self.spawn_overhead,
-            "faults": None if self.faults is None else self.faults.to_dict(),
-            "topology": (None if self.topology is None
-                         else self.topology.to_dict()),
-            "memory": (None if self.memory is None
-                       else self.memory.to_dict()),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "ClusterSpec":
-        d = dict(d)
-        rates = d.get("speed_rates")
-        if rates is not None:
-            d["speed_rates"] = tuple(rates)
-        d["interference"] = tuple(
-            InterferenceSpec.from_dict(i) for i in d.get("interference", ()))
-        if d.get("drift") is not None:
-            d["drift"] = DriftSpec.from_dict(d["drift"])
-        if d.get("faults") is not None:
-            d["faults"] = FaultSpec.from_dict(d["faults"])
-        if d.get("topology") is not None:
-            d["topology"] = TopologySpec.from_dict(d["topology"])
-        if d.get("memory") is not None:
-            d["memory"] = MemorySpec.from_dict(d["memory"])
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(Codec):
     """How the initial SD → node assignment is produced.
 
     Methods
@@ -767,21 +631,9 @@ class PartitionSpec:
         from ..partition.spectral import spectral_partition
         return spectral_partition(graph, num_nodes)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"method": self.method, "seed": self.seed, "axis": self.axis,
-                "parts": None if self.parts is None else list(self.parts),
-                "placement": self.placement}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "PartitionSpec":
-        d = dict(d)
-        if d.get("parts") is not None:
-            d["parts"] = tuple(d["parts"])
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(Codec):
     """When (and with which strategy) the balancer runs after a timestep.
 
     ``balancer`` names the balancing strategy (``"auto"``, ``"tree"``,
@@ -832,19 +684,9 @@ class PolicySpec:
                                    min_interval=self.min_interval)
         return None
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "interval": self.interval,
-                "ratio": self.ratio, "min_interval": self.min_interval,
-                "balancer": self.balancer}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "PolicySpec":
-        # dicts written before the strategy field existed default to auto
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Codec):
     """One complete, runnable experiment point.
 
     ``solver`` selects the serial reference integrator or the simulated
@@ -978,42 +820,3 @@ class ScenarioSpec:
             topology = TopologySpec(kind=topology)
         return self.replace(cluster=replace(self.cluster,
                                             topology=topology))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "mesh": self.mesh.to_dict(),
-            "cluster": self.cluster.to_dict(),
-            "partition": self.partition.to_dict(),
-            "policy": self.policy.to_dict(),
-            "num_steps": self.num_steps,
-            "solver": self.solver,
-            "compute_numerics": self.compute_numerics,
-            "overlap": self.overlap,
-            "source_mode": self.source_mode,
-            "dt": self.dt,
-            "track_error": self.track_error,
-            "cracks": [[[x, y] for x, y in polyline]
-                       for polyline in self.cracks],
-            "crack_floor": self.crack_floor,
-            "crack_horizon_factor": self.crack_horizon_factor,
-            "kernel_backend": self.kernel_backend,
-            "cost_model": self.cost_model,
-            "work_factors": (None if self.work_factors is None
-                             else list(self.work_factors)),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "ScenarioSpec":
-        d = dict(d)
-        d["mesh"] = MeshSpec.from_dict(d["mesh"])
-        d["cluster"] = ClusterSpec.from_dict(d.get("cluster", {}))
-        d["partition"] = PartitionSpec.from_dict(d.get("partition", {}))
-        d["policy"] = PolicySpec.from_dict(d.get("policy", {}))
-        d["cracks"] = tuple(
-            tuple((x, y) for x, y in polyline)
-            for polyline in d.get("cracks", ()))
-        # dicts written before v7 carry neither key: flat-by-default
-        if d.get("work_factors") is not None:
-            d["work_factors"] = tuple(d["work_factors"])
-        return cls(**d)

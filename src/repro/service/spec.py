@@ -21,13 +21,14 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
+from ..codec import Codec
 from ..experiments.spec import ClusterSpec, _require, _set
 
 __all__ = ["ArrivalSpec", "TenantSpec", "AutoscaleSpec", "ServiceSpec"]
 
 
 @dataclass(frozen=True)
-class AutoscaleSpec:
+class AutoscaleSpec(Codec):
     """Closed-loop fleet sizing for a service run (DESIGN.md sub. 6).
 
     When present on a :class:`ServiceSpec`, the runner wires an
@@ -115,32 +116,9 @@ class AutoscaleSpec:
             breach_polls=self.breach_polls,
             low_polls=self.low_polls)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "policy": self.policy,
-            "poll_interval": self.poll_interval,
-            "min_nodes": self.min_nodes,
-            "max_nodes": self.max_nodes,
-            "cooldown": self.cooldown,
-            "provision_delay": self.provision_delay,
-            "warmup": self.warmup,
-            "warmup_factor": self.warmup_factor,
-            "scale_out_utilization": self.scale_out_utilization,
-            "scale_in_utilization": self.scale_in_utilization,
-            "max_p99_wait": self.max_p99_wait,
-            "max_shed_rate": self.max_shed_rate,
-            "max_queue_depth": self.max_queue_depth,
-            "breach_polls": self.breach_polls,
-            "low_polls": self.low_polls,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "AutoscaleSpec":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class ArrivalSpec:
+class ArrivalSpec(Codec):
     """The open-loop arrival process feeding the service.
 
     ``rate`` is the *aggregate* offered load in jobs per virtual second,
@@ -191,19 +169,9 @@ class ArrivalSpec:
         _require(0 <= self.amplitude < 1,
                  f"amplitude must be in [0, 1), got {self.amplitude}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"process": self.process, "rate": self.rate,
-                "seed": self.seed, "burst_on": self.burst_on,
-                "burst_off": self.burst_off, "period": self.period,
-                "amplitude": self.amplitude}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "ArrivalSpec":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(Codec):
     """One virtual tenant: its share of the load and its job shape.
 
     Every job a tenant submits is the same mini solve: ``steps``
@@ -240,17 +208,9 @@ class TenantSpec:
                  f"tenant {self.name!r}: eps_factor must be positive, "
                  f"got {self.eps_factor}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "weight": self.weight, "nx": self.nx,
-                "steps": self.steps, "eps_factor": self.eps_factor}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "TenantSpec":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class ServiceSpec:
+class ServiceSpec(Codec):
     """One complete, runnable multi-tenant service experiment.
 
     The service replays ``arrival`` over ``[0, horizon)`` virtual
@@ -279,20 +239,11 @@ class ServiceSpec:
     def __post_init__(self) -> None:
         _require(isinstance(self.name, str) and bool(self.name),
                  "service name must be a non-empty string")
-        tenants = []
-        for entry in self.tenants:
-            if isinstance(entry, dict):
-                entry = TenantSpec.from_dict(entry)
-            tenants.append(entry)
-        _set(self, "tenants", tuple(tenants))
+        _set(self, "tenants", tuple(self.tenants))
         _require(len(self.tenants) >= 1, "need at least one tenant")
         names = [t.name for t in self.tenants]
         _require(len(set(names)) == len(names),
                  f"tenant names must be unique, got {names}")
-        if isinstance(self.cluster, dict):
-            _set(self, "cluster", ClusterSpec.from_dict(self.cluster))
-        if isinstance(self.arrival, dict):
-            _set(self, "arrival", ArrivalSpec.from_dict(self.arrival))
         _set(self, "horizon", float(self.horizon))
         _set(self, "max_queue_depth", int(self.max_queue_depth))
         _set(self, "max_concurrent", int(self.max_concurrent))
@@ -305,8 +256,6 @@ class ServiceSpec:
         _require(self.cluster.faults is None,
                  "the service layer requires a fault-free cluster "
                  "(job-level recovery is not defined)")
-        if isinstance(self.autoscale, dict):
-            _set(self, "autoscale", AutoscaleSpec.from_dict(self.autoscale))
         # jobs must split over the largest fleet autoscaling can reach
         widest = (self.autoscale.max_nodes if self.autoscale is not None
                   else self.cluster.num_nodes)
@@ -352,20 +301,8 @@ class ServiceSpec:
         return replace(self, **changes)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "solver": "service",  # sweep-worker dispatch marker
-            "tenants": [t.to_dict() for t in self.tenants],
-            "cluster": self.cluster.to_dict(),
-            "arrival": self.arrival.to_dict(),
-            "horizon": self.horizon,
-            "max_queue_depth": self.max_queue_depth,
-            "max_concurrent": self.max_concurrent,
-            "kernel_backend": self.kernel_backend,
-            "cost_model": self.cost_model,
-            "autoscale": (self.autoscale.to_dict()
-                          if self.autoscale is not None else None),
-        }
+        # the sweep-worker dispatch marker rides along with the fields
+        return {**super().to_dict(), "solver": "service"}
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "ServiceSpec":
@@ -373,10 +310,4 @@ class ServiceSpec:
         marker = d.pop("solver", "service")
         _require(marker == "service",
                  f"not a service spec (solver={marker!r})")
-        d["tenants"] = tuple(TenantSpec.from_dict(t) for t in d["tenants"])
-        d["cluster"] = ClusterSpec.from_dict(d.get("cluster", {}))
-        d["arrival"] = ArrivalSpec.from_dict(d.get("arrival", {}))
-        autoscale = d.get("autoscale")
-        if autoscale is not None and not isinstance(autoscale, AutoscaleSpec):
-            d["autoscale"] = AutoscaleSpec.from_dict(autoscale)
-        return cls(**d)
+        return super().from_dict(d)

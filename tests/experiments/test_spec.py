@@ -150,8 +150,8 @@ class TestFaultSpec:
             FaultSpec(recovery_penalty=-1.0)
 
     def test_dicts_normalized_to_events(self):
-        spec = FaultSpec(events=(
-            {"kind": "fail", "time": 1.0, "node": 0},))
+        spec = FaultSpec.from_dict(
+            {"events": [{"kind": "fail", "time": 1.0, "node": 0}]})
         assert isinstance(spec.events[0], ChurnEvent)
         cluster = ClusterSpec.from_dict(
             {"num_nodes": 2,

@@ -126,8 +126,9 @@ class TestTopologySpecRoundTrip:
         assert back.topology.kind == "switched"
 
     def test_cluster_spec_accepts_topology_dict(self):
-        c = ClusterSpec(num_nodes=4,
-                        topology={"kind": "switched", "rack_size": 2})
+        c = ClusterSpec.from_dict(
+            {"num_nodes": 4,
+             "topology": {"kind": "switched", "rack_size": 2}})
         assert isinstance(c.topology, TopologySpec)
         assert c.topology.rack_size == 2
 

@@ -230,12 +230,17 @@ class TestRunCommand:
             main(["run", "--scenario", "fig11_strong_distributed",
                   "--faults", str(tmp_path / "missing.json")])
         # schedule that empties the scenario's 4-node cluster
-        bad = ('{"events": [' + ",".join(
+        empties = ('{"events": [' + ",".join(
             f'{{"kind": "fail", "time": {t}.0, "node": {n}}}'
             for t, n in ((1, 0), (2, 1), (3, 2), (4, 3))) + "]}")
-        with pytest.raises(SystemExit, match="bad fault schedule"):
-            main(["run", "--scenario", "fig11_strong_distributed",
-                  "--faults", bad])
+        # malformed shapes: non-object events, a non-list event field,
+        # an unknown key, an event missing a required field
+        for bad in (empties, '{"events": ["x"]}', '{"events": "x"}',
+                    '{"events": [1]}', '{"bogus": 1}',
+                    '{"events": [{"kind": "fail", "time": 1.0}]}'):
+            with pytest.raises(SystemExit, match="bad fault schedule"):
+                main(["run", "--scenario", "fig11_strong_distributed",
+                      "--faults", bad])
 
     def test_run_churn_scenario_prints_recovery_table(self, capsys):
         rc = main(["run", "--scenario", "hetero_churn", "--steps", "8"])
