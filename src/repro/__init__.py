@@ -40,8 +40,8 @@ from .experiments import (ClusterSpec, MeshSpec, PartitionSpec, PolicySpec,
                           RunRecord, ScenarioSpec, TopologySpec,
                           build_scenario, run_scenario, run_sweep,
                           scenario_names)
-from .core import (BalanceStrategy, IntervalPolicy, LoadBalancer,
-                   NeverBalance, ThresholdPolicy, strategy_names)
+from .core import (BalanceStrategy, IntervalPolicy, NeverBalance,
+                   ThresholdPolicy, strategy_names)
 from .mesh import Decomposition, SubdomainGrid, UniformGrid, build_stencil
 from .models import Crack, crack_work_factors
 from .partition import (block_partition, partition_graph, partition_sd_grid,
@@ -54,8 +54,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ConstantSpeed", "PiecewiseSpeed", "SimCluster", "TaskExecutor",
-    "BalanceStrategy", "IntervalPolicy", "LoadBalancer", "NeverBalance",
-    "ThresholdPolicy", "strategy_names",
+    "BalanceStrategy", "IntervalPolicy", "NeverBalance", "ThresholdPolicy",
+    "strategy_names",
     "Decomposition", "SubdomainGrid", "UniformGrid", "build_stencil",
     "Crack", "crack_work_factors",
     "block_partition", "partition_graph", "partition_sd_grid",

@@ -17,7 +17,6 @@ from .agas import AddressSpace, AgasError
 from .autoscale import (AUTOSCALE_PRIORITY, AutoscaleController,
                         AutoscaleObservation, AutoscalePolicy,
                         TargetUtilizationPolicy, node_seconds)
-from .channel import Channel, ChannelError, ChannelTable
 from .counters import BUSY_TIME, BusyTimeCounter, Counter, CounterRegistry
 from .des import Event, SimulationError, Simulator
 from .executor import TaskExecutor
@@ -35,7 +34,6 @@ __all__ = [
     "AddressSpace", "AgasError",
     "AUTOSCALE_PRIORITY", "AutoscaleController", "AutoscaleObservation",
     "AutoscalePolicy", "TargetUtilizationPolicy", "node_seconds",
-    "Channel", "ChannelError", "ChannelTable",
     "BUSY_TIME", "BusyTimeCounter", "Counter", "CounterRegistry",
     "Event", "SimulationError", "Simulator",
     "TaskExecutor",

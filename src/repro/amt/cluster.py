@@ -721,10 +721,6 @@ class SimCluster:
         if self.wave_batching:
             all_nodes = self.nodes
             num_nodes = len(all_nodes)
-            if len(works) > num_nodes:
-                raise SimulationError(
-                    f"group of {len(works)} tasks needs {len(works)} "
-                    f"nodes, have {num_nodes}")
             targets = []
             for nid, work in zip(ids, works):
                 if not 0 <= nid < num_nodes:

@@ -204,6 +204,19 @@ def _parse_faults(arg: str):
         raise SystemExit(f"error: bad fault schedule: {exc}")
 
 
+class _UsageError(Exception):
+    """A flag value the spec rejects; :func:`main` reports it, exit 2."""
+
+
+def _spec(cmd: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a spec built from flag values: a value
+    it rejects is reported as ``<cmd>: <message>``, not a traceback."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(f"{cmd}: {exc}") from exc
+
+
 def _apply_overrides(spec, args):
     """The spec with the CLI's --backend/--balancer/--topology/
     --cost-model/--faults overrides."""
@@ -239,7 +252,8 @@ def _cmd_validate(args) -> int:
     from .experiments import build, run_sweep
     from .reporting.tables import print_series
     exponents = list(range(2, args.max_exponent + 1))
-    specs = [build("fig08_convergence", exponent=n, steps=args.steps)
+    specs = [_spec("validate", build, "fig08_convergence", exponent=n,
+                   steps=args.steps)
              for n in exponents]
     records = run_sweep(specs, serial=args.jobs <= 1, max_workers=args.jobs)
     hs = [1.0 / (2 ** n) for n in exponents]
@@ -255,8 +269,9 @@ def _cmd_validate(args) -> int:
 def _cmd_solve(args) -> int:
     from .experiments import build, run_scenario
     spec = _apply_overrides(
-        build("solve_serial", nx=args.nx, eps_factor=args.eps_factor,
-              steps=args.steps, source_mode=args.source), args)
+        _spec("solve", build, "solve_serial", nx=args.nx,
+              eps_factor=args.eps_factor, steps=args.steps,
+              source_mode=args.source), args)
     rec = run_scenario(spec)
     eps = args.eps_factor / args.nx
     print(f"mesh {args.nx}x{args.nx}, eps = {eps:.4g}, "
@@ -273,8 +288,9 @@ def _cmd_scale(args) -> int:
     node_counts = [n for n in (1, 2, 4, 8, 12, 16, 24, 32)
                    if n <= min(args.max_nodes, args.sds * args.sds)]
     specs = [_apply_overrides(
-                 build("scale_strong", mesh=args.mesh, sd_axis=args.sds,
-                       nodes=n, steps=args.steps, seed=args.seed), args)
+                 _spec("scale", build, "scale_strong", mesh=args.mesh,
+                       sd_axis=args.sds, nodes=n, steps=args.steps,
+                       seed=args.seed), args)
              for n in node_counts]
     records = run_sweep(specs, serial=args.jobs <= 1, max_workers=args.jobs)
     times = [rec.makespan for rec in records]
@@ -293,8 +309,8 @@ def _cmd_balance(args) -> int:
     from .reporting.ownership import render_ownership_sequence
     k = args.nodes
     spec = _apply_overrides(
-        build("fig14_load_balance", sd_axis=args.sds, nodes=k,
-              steps=args.iterations), args)
+        _spec("balance", build, "fig14_load_balance", sd_axis=args.sds,
+              nodes=k, steps=args.iterations), args)
     rec = run_scenario(spec)
     sd_grid = spec.mesh.build_sd_grid()
     snapshots = ownership_timeline(spec, rec)
@@ -317,7 +333,7 @@ def _cmd_partition(args) -> int:
     from .mesh.subdomain import SubdomainGrid
     sds, k = args.sds, args.nodes
     method = "metis" if args.method == "multilevel" else args.method
-    pspec = PartitionSpec(method=method, seed=args.seed)
+    pspec = _spec("partition", PartitionSpec, method=method, seed=args.seed)
     parts = pspec.build(sds, sds, k)
     graph = grid_dual_graph(sds, sds)
     rep = evaluate_partition(graph, parts, k)
@@ -348,7 +364,8 @@ def _run_balancer_ablation(args, overrides) -> int:
     one point per registered strategy, compared side by side."""
     from .experiments import balancer_sweep, run_sweep
     from .reporting.tables import print_table
-    specs = [_apply_overrides(s, args) for s in balancer_sweep(**overrides)]
+    specs = [_apply_overrides(s, args)
+             for s in _spec("run", balancer_sweep, **overrides)]
     records = run_sweep(specs, serial=True)
     rows = [[rec.spec["policy"]["balancer"], rec.makespan * 1e3,
              rec.sds_moved, rec.migration_bytes,
@@ -387,7 +404,8 @@ def _cmd_run(args) -> int:
         overrides["seed"] = args.seed
     if args.scenario == "abl_balancers" and not args.balancer:
         return _run_balancer_ablation(args, overrides)
-    spec = _apply_overrides(build(args.scenario, **overrides), args)
+    spec = _apply_overrides(
+        _spec("run", build, args.scenario, **overrides), args)
     rec = run_scenario(spec)
     print(f"scenario: {spec.name} ({rec.solver}, {rec.num_steps} steps)")
     if spec.kernel_backend != "auto":
@@ -451,7 +469,7 @@ def _cmd_serve(args) -> int:
                       f"accept --{flag}", file=sys.stderr)
                 return 2
             overrides[flag] = value
-    spec = build(args.scenario, **overrides)
+    spec = _spec("serve", build, args.scenario, **overrides)
     if getattr(spec, "solver", None) != "service":
         print(f"serve: {args.scenario!r} is not a service scenario "
               f"(use 'repro run')", file=sys.stderr)
@@ -521,7 +539,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "run": _cmd_run,
         "serve": _cmd_serve,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -8,29 +8,24 @@
 * :mod:`repro.core.strategies` — the pluggable balancing strategies
   (``tree`` = Algorithm 1, ``diffusion``, ``greedy``, ``repartition``)
   behind a name registry whose ``"auto"`` default is ``tree``.
-* :mod:`repro.core.balancer` — the :class:`LoadBalancer` facade.
 * :mod:`repro.core.policy` — when-to-balance strategies (stateless).
 """
 
-from .balancer import BalanceResult, LoadBalancer
 from .policy import (BalancePolicy, IntervalPolicy, NeverBalance,
                      ThresholdPolicy)
 from .power import (compute_power, expected_sds, imbalance_ratio, integer_targets,
                     load_imbalance)
-from .smoothing import SmoothedPowerEstimator
-from .strategies import (BalanceEvent, BalanceStrategy, is_uniform_work,
-                         make_strategy, strategy_names)
+from .strategies import (BalanceEvent, BalanceResult, BalanceStrategy,
+                         is_uniform_work, make_strategy, strategy_names)
 from .transfer import (TransferPlan, apply_transfers,
                        naive_select_transfers, select_transfers)
 from .tree import DependencyTree, build_dependency_tree, topological_order
 
 __all__ = [
-    "BalanceResult", "LoadBalancer",
-    "BalanceEvent", "BalanceStrategy", "is_uniform_work", "make_strategy",
-    "strategy_names",
+    "BalanceEvent", "BalanceResult", "BalanceStrategy", "is_uniform_work",
+    "make_strategy", "strategy_names",
     "BalancePolicy", "IntervalPolicy", "NeverBalance", "ThresholdPolicy",
     "compute_power", "expected_sds", "imbalance_ratio", "integer_targets", "load_imbalance",
-    "SmoothedPowerEstimator",
     "TransferPlan", "apply_transfers", "naive_select_transfers",
     "select_transfers",
     "DependencyTree", "build_dependency_tree", "topological_order",

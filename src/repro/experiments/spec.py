@@ -570,6 +570,7 @@ class PartitionSpec(Codec):
                  f"unknown placement {self.placement!r}; "
                  f"expected one of {self.PLACEMENTS}")
         _set(self, "seed", int(self.seed))
+        _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         _set(self, "axis", int(self.axis))
         _require(self.axis in (0, 1), f"axis must be 0 or 1, got {self.axis}")
         if self.method == "explicit":

@@ -18,7 +18,6 @@ from typing import List, Tuple
 import numpy as np
 
 from .graph import Graph
-from .metrics import edge_cut
 
 __all__ = ["fm_refine_bisection", "compute_gains"]
 
@@ -180,8 +179,3 @@ def fm_refine_bisection(graph: Graph, parts: np.ndarray,
         if improvement <= 1e-12:
             break
     return parts
-
-
-def refine_cut_value(graph: Graph, parts: np.ndarray) -> float:
-    """Convenience wrapper used in tests: cut after refinement."""
-    return edge_cut(graph, parts)

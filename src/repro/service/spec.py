@@ -161,6 +161,7 @@ class ArrivalSpec(Codec):
         _set(self, "period", float(self.period))
         _set(self, "amplitude", float(self.amplitude))
         _require(self.rate >= 0, f"rate must be >= 0, got {self.rate}")
+        _require(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
         _require(self.burst_on > 0,
                  f"burst_on must be > 0, got {self.burst_on}")
         _require(self.burst_off >= 0,

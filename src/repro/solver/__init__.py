@@ -21,7 +21,6 @@ from .async_solver import AsyncSolver
 from .backends import (KernelBackend, apply_operator_reference,
                        auto_backend_name, backend_names, make_backend)
 from .distributed import DistributedResult, DistributedSolver
-from .implicit import ImplicitSolver
 from .local import LocalHeatSolver, local_stable_dt
 from .exact import (ManufacturedProblem, interior_multiplier, step_error,
                     total_error)
@@ -35,7 +34,7 @@ __all__ = [
     "KernelBackend", "apply_operator_reference", "auto_backend_name",
     "backend_names", "make_backend",
     "DistributedResult", "DistributedSolver",
-    "ImplicitSolver", "LocalHeatSolver", "local_stable_dt",
+    "LocalHeatSolver", "local_stable_dt",
     "ManufacturedProblem", "interior_multiplier", "step_error", "total_error",
     "NonlocalOperator", "assemble_sparse_operator", "stable_dt",
     "InfluenceFunction", "NonlocalHeatModel", "constant_influence",

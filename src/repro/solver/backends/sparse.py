@@ -7,9 +7,9 @@ slab per mask offset) and cached per input shape — a time-stepper pays
 the assembly once and then runs pure ``csr_matvec``.
 
 This is the backend of choice when an explicit matrix is wanted anyway
-(cross-validation, spectral analysis, future implicit integrators); for
-raw throughput on large grids the FFT backend wins, which is why
-``auto`` never selects sparse (see ``registry.auto_backend_name``).
+(cross-validation, spectral analysis); for raw throughput on large
+grids the FFT backend wins, which is why ``auto`` never selects sparse
+(see ``registry.auto_backend_name``).
 """
 
 from __future__ import annotations

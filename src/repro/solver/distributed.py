@@ -32,10 +32,9 @@ from ..amt.cluster import (BusyCursor, ConstantSpeed, SimCluster, SimTask,
 from ..amt.topology import Topology
 from ..amt.faults import ChurnEvent, FaultSchedule, RecoveryEvent
 from ..amt.future import Future, local_when_all
-from ..core.balancer import BalanceResult, LoadBalancer
 from ..core.policy import BalancePolicy, NeverBalance
 from ..core.power import imbalance_ratio
-from ..core.strategies import (BalanceEvent, BalanceStrategy,
+from ..core.strategies import (BalanceEvent, BalanceResult, BalanceStrategy,
                                evacuate_assignments, make_strategy)
 from ..costmodel import CostModel, FlatCostModel, WorkItem, make_cost_model
 from ..mesh.decomposition import BYTES_PER_DP, Decomposition
@@ -163,12 +162,11 @@ class DistributedSolver:
     balancer, policy:
         Load balancing configuration.  ``balancer`` may be a strategy
         *name* (``"tree"``, ``"diffusion"``, ``"greedy"``,
-        ``"repartition"``, or ``"auto"`` — the paper's algorithm), a
-        prebuilt :class:`repro.core.strategies.BalanceStrategy`, or a
-        :class:`LoadBalancer` facade; the solver resolves names at
-        construction.  ``None`` disables balancing outright (the
-        pre-strategy contract), as does the default
-        :class:`NeverBalance` policy.
+        ``"repartition"``, or ``"auto"`` — the paper's algorithm) or a
+        prebuilt :class:`repro.core.strategies.BalanceStrategy`; the
+        solver resolves names at construction.  ``None`` disables
+        balancing outright (the pre-strategy contract), as does the
+        default :class:`NeverBalance` policy.
     overlap:
         ``False`` disables the Case-1/Case-2 split (every SD task waits
         for its ghosts) — the ablation baseline for Sec. 6.3.
@@ -234,8 +232,7 @@ class DistributedSolver:
                  source: Optional[Callable[[float], np.ndarray]] = None,
                  dt: Optional[float] = None,
                  work_factors: Optional[Sequence[float]] = None,
-                 balancer: Union[str, LoadBalancer, BalanceStrategy,
-                                 None] = "auto",
+                 balancer: Union[str, BalanceStrategy, None] = "auto",
                  policy: Optional[BalancePolicy] = None,
                  overlap: bool = True,
                  compute_numerics: bool = True,

@@ -21,6 +21,8 @@ Each scenario runs once with batching on and once off and asserts the
 observable streams are equal.
 """
 
+import numpy as np
+
 from repro.amt.cluster import SimCluster
 from repro.amt.future import local_when_all
 
@@ -174,3 +176,50 @@ class TestTaskGroups:
         assert c.busy_time(0) == 10.0
         c.run()
         assert c.busy_time(0) == 20.0
+
+    def test_group_with_repeated_targets_matches_per_event_path(self):
+        """A group may name one node several times, so it can hold more
+        tasks than the fleet has nodes: those tasks queue FIFO on the
+        node in both modes."""
+        results = {}
+        for mode in (True, False):
+            c = SimCluster(2, wave_batching=mode)
+            times = []
+            c.submit_group([1.0, 2.0, 3.0], nodes=[0, 0, 1],
+                           callback=lambda c=c: times.append(c.now))
+            c.run()
+            results[mode] = (times, [c.busy_time(n) for n in range(2)])
+        assert results[True] == results[False] == ([3.0], [3.0, 3.0])
+
+    def test_random_repeated_target_groups_match_per_event_path(self):
+        """Chains of groups with random, repeating targets: equal
+        callback times, busy times and task counts in both modes."""
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(1, 4))
+            groups = [(rng.uniform(0.5, 4.0, size=k).tolist(),
+                       rng.integers(0, n, size=k).tolist())
+                      for k in rng.integers(1, 2 * n + 3, size=4)]
+            results = {}
+            for mode in (True, False):
+                c = SimCluster(n, wave_batching=mode)
+                log = []
+
+                def step(k, c=c, log=log):
+                    if k == len(groups):
+                        return
+                    works, nodes = groups[k]
+                    c.submit_group(works, nodes=nodes, callback=lambda: (
+                        log.append((k, c.now)), step(k + 1)))
+
+                step(0)
+                # a second, independent chain interleaves on the nodes
+                works, nodes = groups[0]
+                c.submit_group(works, nodes=nodes,
+                               callback=lambda c=c, log=log: log.append(
+                                   ("side", c.now)))
+                c.run()
+                results[mode] = (
+                    log, [c.busy_time(i) for i in range(n)],
+                    [node.tasks_completed for node in c.nodes])
+            assert results[True] == results[False]

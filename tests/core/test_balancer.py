@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.balancer import LoadBalancer
 from repro.core.policy import IntervalPolicy, NeverBalance, ThresholdPolicy
+from repro.core.strategies import make_strategy
 from repro.mesh.subdomain import SubdomainGrid
 from repro.partition.graph import grid_dual_graph
 from repro.partition.metrics import parts_are_contiguous
@@ -16,7 +16,7 @@ def make(sds=4):
     # pin the paper's algorithm: these tests assert Algorithm-1-specific
     # outcomes
     sg = SubdomainGrid(4 * sds, 4 * sds, sds, sds)
-    return sg, LoadBalancer(sg, strategy="tree")
+    return sg, make_strategy("tree", sg)
 
 
 def block_parts(sds, nodes):
@@ -124,7 +124,7 @@ class TestBalanceStep:
         spread implied by the SD distribution."""
         k = len(speeds)
         sg = SubdomainGrid(32, 32, 8, 8)
-        lb = LoadBalancer(sg, strategy="tree")
+        lb = make_strategy("tree", sg)
         from repro.partition.geometric import block_partition
         parts = block_partition(8, 8, k)
         counts = np.bincount(parts, minlength=k).astype(float)
@@ -144,7 +144,7 @@ class TestFig14Scenario:
         """The paper's Fig. 14: 5x5 SDs, 4 symmetric nodes, highly
         imbalanced start -> nearly balanced within 3 iterations."""
         sg = SubdomainGrid(20, 20, 5, 5)
-        lb = LoadBalancer(sg, strategy="tree")
+        lb = make_strategy("tree", sg)
         # highly imbalanced start: node 0 owns almost everything
         parts = np.zeros(25, dtype=np.int64)
         parts[4] = 1    # single SD corners for the others
@@ -226,7 +226,7 @@ class TestPolicyReuseAcrossRuns:
                 model, grid, sg, block_parts(4, 4), num_nodes=4,
                 speeds=[ConstantSpeed(s) for s in (1e9, 1e9, 2e9, 4e9)],
                 compute_numerics=False,
-                balancer=LoadBalancer(sg, strategy="tree"), policy=p)
+                balancer="tree", policy=p)
             res = solver.run(None, 6)
             return [(step, parts.tolist()) for step, parts in res.parts_history]
 

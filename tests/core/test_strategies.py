@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.balancer import LoadBalancer
 from repro.core.strategies import (BalanceEvent, BalanceResult,
                                    auto_strategy_name, is_uniform_work,
                                    make_strategy, strategy_names)
@@ -38,12 +37,6 @@ class TestRegistry:
         assert auto_strategy_name() == "tree"
         sg = SubdomainGrid(16, 16, 4, 4)
         assert make_strategy("auto", sg).name == "tree"
-
-    def test_loadbalancer_facade_resolves_and_reports(self):
-        sg = SubdomainGrid(16, 16, 4, 4)
-        lb = LoadBalancer(sg, strategy="diffusion")
-        assert lb.name == "diffusion"
-        assert "diffusion" in repr(lb)
 
 
 class TestUniformWorkHelper:
@@ -122,8 +115,8 @@ class TestTreeGoldenAgreement:
     """``tree`` reproduces the pre-refactor Algorithm 1 bit-for-bit.
 
     The expected values were captured from the seed implementation
-    (``LoadBalancer.balance_step`` before the strategy extraction) on
-    the Fig. 7 star example and the standard 4x4 block case.
+    (Algorithm 1 before the strategy extraction) on the Fig. 7 star
+    example and the standard 4x4 block case.
     """
 
     def test_fig7_star_transfers(self):
@@ -164,15 +157,6 @@ class TestTreeGoldenAgreement:
             0, 0, 1, 1, 2, 2, 3, 3, 2, 2, 3, 3, 2, 2, 3, 3]
         assert [(p.donor, p.receiver, list(p.sds)) for p in res.plans] == [
             (0, 2, [4]), (0, 2, [5]), (1, 3, [6]), (1, 3, [7])]
-
-    def test_facade_delegates_to_the_same_algorithm(self):
-        sg = SubdomainGrid(20, 20, 5, 5)
-        direct = make_strategy("tree", sg).balance_step(
-            star_parts(), 4, [5.0, 2.5, 10.0, 10.0])
-        lb = LoadBalancer(sg, strategy="tree")
-        facade = lb.balance_step(star_parts(), 4, [5.0, 2.5, 10.0, 10.0])
-        assert facade.parts_after.tolist() == direct.parts_after.tolist()
-        assert repr(lb) == "LoadBalancer(strategy='tree')"
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,16 @@ class TestPartitionSpec:
         with pytest.raises(ValueError):
             PartitionSpec(**kwargs)
 
+    def test_negative_seed_rejected(self):
+        """numpy seeds are non-negative: a negative one fails here, not
+        deep inside the partitioner."""
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            PartitionSpec(seed=-3)
+        doc = PartitionSpec(seed=3).to_dict()
+        doc["seed"] = -3
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            PartitionSpec.from_dict(doc)
+
 
 class TestPolicySpec:
     def test_build(self):

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.amt.cluster import ConstantSpeed
-from repro.core.balancer import LoadBalancer
 from repro.core.policy import IntervalPolicy, ThresholdPolicy
+from repro.core.strategies import make_strategy
 from repro.mesh.grid import UniformGrid
 from repro.mesh.subdomain import SubdomainGrid
 from repro.models.crack import Crack, crack_work_factors
@@ -41,7 +41,7 @@ class TestStaticHeterogeneity:
         speeds = (1e9, 1e9, 2e9, 4e9)
         sd_grid, solver = build(
             speeds=[ConstantSpeed(s) for s in speeds],
-            balancer=LoadBalancer(SubdomainGrid(128, 128, 8, 8)),
+            balancer="auto",
             policy=IntervalPolicy(1))
         solver.run(None, 12)
         counts = np.bincount(solver.parts, minlength=4)
@@ -51,7 +51,7 @@ class TestStaticHeterogeneity:
     def test_final_partition_contiguous(self):
         sd_grid, solver = build(
             speeds=[ConstantSpeed(s) for s in (1e9, 1e9, 2e9, 4e9)],
-            balancer=LoadBalancer(SubdomainGrid(128, 128, 8, 8)),
+            balancer="auto",
             policy=IntervalPolicy(1))
         solver.run(None, 12)
         g = grid_dual_graph(8, 8)
@@ -63,8 +63,7 @@ class TestStaticHeterogeneity:
             base = build(speeds=[ConstantSpeed(s) for s in speed_set])[1]
             t_off = base.run(None, 10).makespan
             bal = build(speeds=[ConstantSpeed(s) for s in speed_set],
-                        balancer=LoadBalancer(
-                            SubdomainGrid(128, 128, 8, 8)),
+                        balancer="auto",
                         policy=IntervalPolicy(1))[1]
             t_on = bal.run(None, 10).makespan
             return t_off / t_on
@@ -92,7 +91,7 @@ class TestDynamicInterference:
         t_static = static.run(None, 15).makespan
         sd_grid, balanced = build(
             speeds=speeds(),
-            balancer=LoadBalancer(SubdomainGrid(128, 128, 8, 8)),
+            balancer="auto",
             policy=ThresholdPolicy(ratio=1.1))
         res = balanced.run(None, 15)
         assert res.parts_history, "no redistribution happened"
@@ -116,7 +115,7 @@ class TestCrackScenario:
         parts = np.repeat([0, 0, 1, 1, 2, 2, 3, 3], 8)  # 2 SD rows per node
         solver = DistributedSolver(
             model, grid, sd_grid, parts, num_nodes=4, work_factors=wf,
-            compute_numerics=False, balancer=LoadBalancer(sd_grid),
+            compute_numerics=False, balancer="auto",
             policy=IntervalPolicy(1))
         res = solver.run(None, 10)
         counts = np.bincount(solver.parts, minlength=4)
@@ -181,7 +180,7 @@ class TestRandomizedBalancing:
         its global-rebalance guarantee; diffusion converges slower by
         design)."""
         sg = SubdomainGrid(32, 32, 8, 8)
-        lb = LoadBalancer(sg, strategy="tree")
+        lb = make_strategy("tree", sg)
         parts = partition_sd_grid(8, 8, 4, seed=seed,
                                   target_weights=[8, 1, 1, 1])
         for _ in range(4):

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.balancer import LoadBalancer
+from repro.core.strategies import make_strategy
 from repro.mesh.decomposition import Decomposition
 from repro.mesh.grid import UniformGrid
 from repro.mesh.stencil import build_stencil
@@ -72,7 +72,7 @@ class TestBalancerSafety:
         """Any busy-time vector yields a complete, in-range ownership."""
         sds = 6
         sg = SubdomainGrid(6 * sds, 6 * sds, sds, sds)
-        lb = LoadBalancer(sg)
+        lb = make_strategy("auto", sg)
         parts = partition_sd_grid(sds, sds, 4, seed=seed)
         res = lb.balance_step(parts, 4, busy)
         after = res.parts_after
@@ -88,7 +88,7 @@ class TestBalancerSafety:
         nodes), a balanced integer distribution must not move."""
         sds = 8
         sg = SubdomainGrid(8 * sds, 8 * sds, sds, sds)
-        lb = LoadBalancer(sg)
+        lb = make_strategy("auto", sg)
         from repro.partition.geometric import block_partition
         parts = block_partition(sds, sds, 4)  # exactly 16 SDs each
         counts = np.bincount(parts, minlength=4).astype(float)
@@ -120,32 +120,3 @@ class TestOperatorSpectralBounds:
         assert area == np.float64(area)
         assert abs(area - expected) / expected < 0.35  # coarse balls deviate
 
-
-class TestChannelRandomOps:
-    @given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 8)),
-                        min_size=1, max_size=40))
-    @settings(max_examples=50, deadline=None)
-    def test_random_interleaving_never_loses_values(self, ops):
-        """Any legal set/get interleaving delivers each generation's
-        value exactly once."""
-        from repro.amt.channel import Channel
-        ch = Channel("prop")
-        futures = {}
-        set_gens = set()
-        got_gens = set()
-        for is_set, gen in ops:
-            if is_set:
-                if gen in set_gens:
-                    continue
-                set_gens.add(gen)
-                ch.set(gen, f"v{gen}")
-            else:
-                if gen in got_gens:
-                    continue
-                got_gens.add(gen)
-                futures[gen] = ch.get(gen)
-        for gen, fut in futures.items():
-            if gen in set_gens:
-                assert fut.get() == f"v{gen}"
-            else:
-                assert not fut.is_ready()

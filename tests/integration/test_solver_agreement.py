@@ -72,7 +72,6 @@ class TestThreeWayAgreement:
     def test_agreement_under_active_balancing_with_work_factors(self):
         """Balancing mid-run (migrations included) must not perturb
         temperatures."""
-        from repro.core.balancer import LoadBalancer
         from repro.core.policy import IntervalPolicy
         from repro.amt.cluster import ConstantSpeed
 
@@ -84,7 +83,7 @@ class TestThreeWayAgreement:
         d = DistributedSolver(model, grid, sg, partition_sd_grid(4, 4, 4),
                               num_nodes=4, speeds=speeds, work_factors=wf,
                               source=prob.source, dt=dt,
-                              balancer=LoadBalancer(sg),
+                              balancer="auto",
                               policy=IntervalPolicy(1)).run(
             prob.initial_condition(), 6)
         assert any(b.sds_moved for b in d.balance_results)

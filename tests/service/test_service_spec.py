@@ -31,6 +31,16 @@ class TestArrivalSpec:
         with pytest.raises(ValueError, match="rate"):
             ArrivalSpec(rate=-1.0)
 
+    def test_negative_seed_rejected(self):
+        """numpy seeds are non-negative: a negative one fails here, not
+        in the arrival generator."""
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ArrivalSpec(seed=-1)
+        doc = ArrivalSpec(seed=1).to_dict()
+        doc["seed"] = -1
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ArrivalSpec.from_dict(doc)
+
     def test_amplitude_bounds(self):
         with pytest.raises(ValueError, match="amplitude"):
             ArrivalSpec(process="diurnal", amplitude=1.0)

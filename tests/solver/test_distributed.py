@@ -5,7 +5,6 @@ import pytest
 
 from repro.amt.cluster import ConstantSpeed
 from repro.amt.topology import FlatTopology
-from repro.core.balancer import LoadBalancer
 from repro.core.policy import IntervalPolicy
 from repro.mesh.grid import UniformGrid
 from repro.mesh.subdomain import SubdomainGrid
@@ -55,7 +54,7 @@ class TestNumericalCorrectness:
         dsol = DistributedSolver(model, grid, sg, block_partition(4, 4, 4),
                                  num_nodes=4, speeds=speeds,
                                  source=prob.source, dt=serial.dt,
-                                 balancer=LoadBalancer(sg),
+                                 balancer="auto",
                                  policy=IntervalPolicy(2))
         res = dsol.run(prob.initial_condition(), 6)
         assert np.allclose(res.u, ref.u, atol=1e-12)
@@ -154,7 +153,7 @@ class TestLoadBalancingIntegration:
         bal = DistributedSolver(model, grid, sg, block_partition(4, 4, 4),
                                 num_nodes=4, speeds=speeds(),
                                 compute_numerics=False,
-                                balancer=LoadBalancer(sg),
+                                balancer="auto",
                                 policy=IntervalPolicy(1)).run(None, 10)
         assert bal.makespan < base.makespan
         assert bal.balance_results  # balancing actually happened
@@ -167,7 +166,7 @@ class TestLoadBalancingIntegration:
         dsol = DistributedSolver(model, grid, sg, block_partition(4, 4, 4),
                                  num_nodes=4, speeds=speeds,
                                  compute_numerics=False,
-                                 balancer=LoadBalancer(sg),
+                                 balancer="auto",
                                  policy=IntervalPolicy(1))
         res = dsol.run(None, 10)
         # after the initial redistribution, later steps must not migrate
@@ -180,7 +179,7 @@ class TestLoadBalancingIntegration:
         dsol = DistributedSolver(model, grid, sg, block_partition(4, 4, 4),
                                  num_nodes=4, speeds=speeds,
                                  compute_numerics=False,
-                                 balancer=LoadBalancer(sg),
+                                 balancer="auto",
                                  policy=IntervalPolicy(1))
         res = dsol.run(None, 5)
         if any(b.sds_moved for b in res.balance_results):
@@ -195,7 +194,7 @@ class TestLoadBalancingIntegration:
         parts = np.repeat([0, 0, 1, 1], 4)  # bottom rows node 0
         dsol = DistributedSolver(model, grid, sg, parts, num_nodes=2,
                                  compute_numerics=False, work_factors=wf,
-                                 balancer=LoadBalancer(sg),
+                                 balancer="auto",
                                  policy=IntervalPolicy(1))
         res = dsol.run(None, 6)
         counts = np.bincount(dsol.parts, minlength=2)

@@ -1,15 +1,11 @@
-"""Tests for the classical local solver and the implicit integrator."""
+"""Tests for the classical local solver."""
 
 import numpy as np
 import pytest
 
 from repro.mesh.grid import UniformGrid
-from repro.solver.exact import ManufacturedProblem
-from repro.solver.implicit import ImplicitSolver
-from repro.solver.kernel import stable_dt
 from repro.solver.local import LocalHeatSolver, local_stable_dt
 from repro.solver.model import NonlocalHeatModel
-from repro.solver.serial import SerialSolver
 
 
 class TestLocalHeatSolver:
@@ -94,58 +90,3 @@ class TestNonlocalToLocalLimit:
         assert errors[2] < 0.5 * errors[1]
         assert errors[2] < 0.05
 
-
-class TestImplicitSolver:
-    def test_matches_explicit_for_small_dt(self):
-        grid = UniformGrid(16, 16)
-        model = NonlocalHeatModel(epsilon=2 * grid.h)
-        prob = ManufacturedProblem(model, grid, source_mode="discrete")
-        dt = 0.25 * stable_dt(model, grid)
-        exp = SerialSolver(model, grid, source=prob.source, dt=dt)
-        imp = ImplicitSolver(model, grid, source=prob.source, dt=dt)
-        u0 = prob.initial_condition()
-        ue = exp.run(u0, 5).u
-        ui = imp.run(u0, 5).u
-        # same order-dt accuracy; difference is O(dt^2) per step
-        assert np.abs(ue - ui).max() < 50 * dt * dt * 5 / dt  # ~O(dt)
-        assert np.abs(ue - ui).max() < 0.02
-
-    def test_stable_far_beyond_explicit_bound(self):
-        """Backward Euler with dt = 100x the explicit bound stays bounded."""
-        grid = UniformGrid(16, 16)
-        model = NonlocalHeatModel(epsilon=2 * grid.h)
-        big_dt = 100 * stable_dt(model, grid, safety=1.0)
-        imp = ImplicitSolver(model, grid, dt=big_dt)
-        rng = np.random.default_rng(1)
-        u = rng.standard_normal(grid.shape)
-        n0 = np.linalg.norm(u)
-        res = imp.run(u, 10)
-        assert np.linalg.norm(res.u) <= n0  # unconditionally dissipative
-
-    def test_decays_unforced_solution(self):
-        grid = UniformGrid(16, 16)
-        model = NonlocalHeatModel(epsilon=2 * grid.h)
-        imp = ImplicitSolver(model, grid, dt=1e-3)
-        u0 = np.ones(grid.shape)
-        res = imp.run(u0, 5)
-        assert np.linalg.norm(res.u) < np.linalg.norm(u0)
-
-    def test_error_tracking(self):
-        grid = UniformGrid(16, 16)
-        model = NonlocalHeatModel(epsilon=2 * grid.h)
-        prob = ManufacturedProblem(model, grid, source_mode="discrete")
-        imp = ImplicitSolver(model, grid, source=prob.source, dt=1e-4)
-        res = imp.run(prob.initial_condition(), 4, exact=prob.exact)
-        assert len(res.errors) == 5
-        assert res.total_error < 1e-4
-
-    def test_validation(self):
-        grid = UniformGrid(8, 8)
-        model = NonlocalHeatModel(epsilon=2 * grid.h)
-        with pytest.raises(ValueError):
-            ImplicitSolver(model, grid, dt=0.0)
-        imp = ImplicitSolver(model, grid, dt=1e-3)
-        with pytest.raises(ValueError, match="u0 shape"):
-            imp.run(np.zeros((3, 3)), 1)
-        with pytest.raises(ValueError, match="num_steps"):
-            imp.run(np.zeros(grid.shape), -1)

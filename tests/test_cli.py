@@ -94,6 +94,16 @@ class TestRunCommand:
     def test_run_unknown_scenario(self, capsys):
         assert main(["run", "--scenario", "fig99_imaginary"]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--steps", "-1"], "num_steps must be >= 0"),
+        (["--seed", "-3"], "seed must be >= 0"),
+    ])
+    def test_run_out_of_range_flag_is_a_usage_error(self, capsys, argv,
+                                                    message):
+        """Regression: a value the spec rejects ended in a traceback."""
+        assert main(["run", "--scenario", "quickstart"] + argv) == 2
+        assert capsys.readouterr().err.startswith(f"run: {message}")
+
     def test_run_with_backend_override(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         rc = main(["run", "--scenario", "quickstart", "--steps", "1",
@@ -414,6 +424,18 @@ class TestServeCommand:
         rc = main(["serve", "--scenario", "fig14_load_balance"])
         assert rc == 2
         assert "use 'repro run'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--rate", "-5"], "rate must be >= 0"),
+        (["--horizon", "0"], "horizon must be > 0"),
+        (["--nodes", "0"], "num_nodes must be >= 1"),
+        (["--seed", "-1"], "seed must be >= 0"),
+    ])
+    def test_serve_out_of_range_flag_is_a_usage_error(self, capsys, argv,
+                                                      message):
+        """Regression: a value the spec rejects ended in a traceback."""
+        assert main(["serve"] + argv) == 2
+        assert capsys.readouterr().err.startswith(f"serve: {message}")
 
     def test_serve_rejects_unsupported_override(self, capsys):
         rc = main(["serve", "--scenario", "fig14_load_balance",
