@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="Fig. 8 convergence sweep")
     v.add_argument("--max-exponent", type=int, default=6,
-                   help="finest mesh is 2^N (default 6)")
+                   help="finest mesh is 2^N, N >= 3 (default 6)")
     v.add_argument("--steps", type=int, default=10)
     v.add_argument("--jobs", type=int, default=1,
                    help="process-parallel sweep workers (default serial)")
@@ -205,7 +205,8 @@ def _parse_faults(arg: str):
 
 
 class _UsageError(Exception):
-    """A flag value the spec rejects; :func:`main` reports it, exit 2."""
+    """A flag value the command cannot run with; :func:`main` reports
+    it, exit 2."""
 
 
 def _spec(cmd: str, make, *args, **kwargs):
@@ -252,6 +253,10 @@ def _cmd_validate(args) -> int:
     from .experiments import build, run_sweep
     from .reporting.tables import print_series
     exponents = list(range(2, args.max_exponent + 1))
+    if len(exponents) < 2:
+        # a monotone-decrease check over fewer than two meshes is vacuous
+        raise _UsageError(f"validate: --max-exponent must be >= 3, "
+                          f"got {args.max_exponent}")
     specs = [_spec("validate", build, "fig08_convergence", exponent=n,
                    steps=args.steps)
              for n in exponents]
@@ -287,6 +292,9 @@ def _cmd_scale(args) -> int:
     from .reporting.tables import print_series
     node_counts = [n for n in (1, 2, 4, 8, 12, 16, 24, 32)
                    if n <= min(args.max_nodes, args.sds * args.sds)]
+    if not node_counts:
+        raise _UsageError(f"scale: --max-nodes {args.max_nodes} with "
+                          f"--sds {args.sds} leaves no node count to run")
     specs = [_apply_overrides(
                  _spec("scale", build, "scale_strong", mesh=args.mesh,
                        sd_axis=args.sds, nodes=n, steps=args.steps,
@@ -334,7 +342,7 @@ def _cmd_partition(args) -> int:
     sds, k = args.sds, args.nodes
     method = "metis" if args.method == "multilevel" else args.method
     pspec = _spec("partition", PartitionSpec, method=method, seed=args.seed)
-    parts = pspec.build(sds, sds, k)
+    parts = _spec("partition", pspec.build, sds, sds, k)
     graph = grid_dual_graph(sds, sds)
     rep = evaluate_partition(graph, parts, k)
     sd_grid = SubdomainGrid(4 * sds, 4 * sds, sds, sds)

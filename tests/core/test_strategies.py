@@ -158,6 +158,16 @@ class TestTreeGoldenAgreement:
         assert [(p.donor, p.receiver, list(p.sds)) for p in res.plans] == [
             (0, 2, [4]), (0, 2, [5]), (1, 3, [6]), (1, 3, [7])]
 
+    def test_auto_runs_the_same_algorithm(self):
+        sg = SubdomainGrid(20, 20, 5, 5)
+        busy = [5.0, 2.5, 10.0, 10.0]
+        tree = make_strategy("tree", sg).balance_step(star_parts(), 4, busy)
+        auto = make_strategy("auto", sg).balance_step(star_parts(), 4, busy)
+        assert auto.strategy == "tree"
+        assert auto.parts_after.tolist() == tree.parts_after.tolist()
+        assert ([(p.donor, p.receiver, list(p.sds)) for p in auto.plans]
+                == [(p.donor, p.receiver, list(p.sds)) for p in tree.plans])
+
 
 # ---------------------------------------------------------------------------
 # property tests: the invariants every registered strategy must keep

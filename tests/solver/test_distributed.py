@@ -6,6 +6,8 @@ import pytest
 from repro.amt.cluster import ConstantSpeed
 from repro.amt.topology import FlatTopology
 from repro.core.policy import IntervalPolicy
+from repro.core.strategies import (auto_strategy_name, make_strategy,
+                                   strategy_names)
 from repro.mesh.grid import UniformGrid
 from repro.mesh.subdomain import SubdomainGrid
 from repro.partition.geometric import block_partition
@@ -199,6 +201,55 @@ class TestLoadBalancingIntegration:
         res = dsol.run(None, 6)
         counts = np.bincount(dsol.parts, minlength=2)
         assert counts[0] > 8  # node 0 took on extra SDs
+
+
+class TestBalancerArgument:
+    """``balancer=`` takes a strategy name or a prebuilt strategy; names
+    resolve once, at construction."""
+
+    @staticmethod
+    def build(sg, grid, model, **kwargs):
+        speeds = [ConstantSpeed(s) for s in (1e6, 1e6, 4e6, 4e6)]
+        return DistributedSolver(model, grid, sg, block_partition(4, 4, 4),
+                                 num_nodes=4, speeds=speeds,
+                                 compute_numerics=False,
+                                 policy=IntervalPolicy(1), **kwargs)
+
+    @pytest.mark.parametrize("name", ["auto"] + strategy_names())
+    def test_name_resolves_and_reports(self, name):
+        grid, model, prob, sg = setup(nx=32, sds=4)
+        dsol = self.build(sg, grid, model, balancer=name)
+        expected = auto_strategy_name() if name == "auto" else name
+        assert dsol.balancer.name == expected
+        assert dsol.balancer.sd_grid is sg
+        res = dsol.run(None, 3)
+        assert res.balance_results
+        assert {b.strategy for b in res.balance_results} == {expected}
+
+    def test_omitted_argument_is_the_papers_algorithm(self):
+        grid, model, prob, sg = setup(nx=32, sds=4)
+        assert self.build(sg, grid, model).balancer.name == "tree"
+
+    def test_prebuilt_strategy_is_used_as_given(self):
+        grid, model, prob, sg = setup(nx=32, sds=4)
+        strategy = make_strategy("diffusion", sg)
+        dsol = self.build(sg, grid, model, balancer=strategy)
+        assert dsol.balancer is strategy
+        res = dsol.run(None, 3)
+        assert {b.strategy for b in res.balance_results} == {"diffusion"}
+
+    def test_unknown_name_rejected_at_construction(self):
+        grid, model, prob, sg = setup(nx=32, sds=4)
+        with pytest.raises(ValueError, match="unknown balancing strategy"):
+            self.build(sg, grid, model, balancer="no_such_strategy")
+
+    def test_auto_and_tree_give_the_same_schedule(self):
+        grid, model, prob, sg = setup(nx=32, sds=4)
+        auto = self.build(sg, grid, model, balancer="auto").run(None, 6)
+        tree = self.build(sg, grid, model, balancer="tree").run(None, 6)
+        assert auto.makespan == tree.makespan
+        assert [(step, parts.tolist()) for step, parts in auto.parts_history] \
+            == [(step, parts.tolist()) for step, parts in tree.parts_history]
 
 
 class TestValidation:

@@ -68,6 +68,45 @@ class TestCommands:
         assert "edge cut" in out
 
 
+class TestOutOfRangeFlags:
+    """A flag value the command cannot run with is a usage error —
+    ``<cmd>: <message>`` on stderr, exit 2 — not a traceback, and not a
+    sweep over zero points that reports success."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--nx", "0"], "solve: mesh must be at least 1x1"),
+        (["solve", "--steps", "-1"], "solve: num_steps must be >= 0"),
+        (["solve", "--eps-factor", "0"], "solve: eps_factor must be positive"),
+        (["solve", "--eps-factor", "-2"],
+         "solve: eps_factor must be positive"),
+        (["scale", "--mesh", "0"], "scale: mesh must be at least 1x1"),
+        (["scale", "--steps", "-1"], "scale: num_steps must be >= 0"),
+        (["scale", "--seed", "-1"], "scale: seed must be >= 0"),
+        (["scale", "--sds", "0"],
+         "scale: --max-nodes 8 with --sds 0 leaves no node count"),
+        (["scale", "--max-nodes", "0"],
+         "scale: --max-nodes 0 with --sds 8 leaves no node count"),
+        (["balance", "--sds", "0"], "balance: mesh must be at least 1x1"),
+        (["balance", "--nodes", "0"], "balance: num_nodes must be >= 1"),
+        (["balance", "--iterations", "-1"],
+         "balance: num_steps must be >= 0"),
+        (["partition", "--sds", "0"], "partition: grid must be at least 1x1"),
+        (["partition", "--nodes", "0"], "partition: k must be >= 1"),
+        (["partition", "--seed", "-1"], "partition: seed must be >= 0"),
+        (["validate", "--steps", "-1"], "validate: num_steps must be >= 0"),
+        (["validate", "--max-exponent", "1"],
+         "validate: --max-exponent must be >= 3"),
+        (["validate", "--max-exponent", "2"],
+         "validate: --max-exponent must be >= 3"),
+    ])
+    def test_usage_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestRunCommand:
     def test_list_scenarios(self, capsys):
         rc = main(["run", "--list"])
