@@ -2,8 +2,8 @@
 """Physics checks: the nonlocal -> local limit and an L-shaped domain.
 
 Part 1 verifies the calibration of eq. (2): as the horizon eps shrinks,
-the nonlocal solution converges to the classical heat equation's (both
-solved on the same grid with the same zero boundary condition).
+the nonlocal operator converges to the classical k*Laplacian on the same
+grid.
 
 Part 2 exercises the future-work extension: a distributed solve on an
 L-shaped domain (the notch is carved out with a DomainMask), with the
@@ -18,11 +18,10 @@ from repro import NonlocalHeatModel, SubdomainGrid, UniformGrid
 from repro.mesh import DomainMask
 from repro.partition import partition_graph
 from repro.reporting import print_table, render_ownership
-from repro.solver import DistributedSolver, LocalHeatSolver, SerialSolver
+from repro.solver import DistributedSolver, NonlocalOperator
 
 
 def nonlocal_to_local() -> None:
-    from repro.solver import NonlocalOperator
     rows = []
     # shrink eps while keeping eps/h = 32 fixed: both error sources
     # (continuum O(eps^2) + ball quadrature O((h/eps)^2)) then vanish

@@ -17,15 +17,14 @@ True
 
 Sub-packages:
 
-* :mod:`repro.amt` — HPX-like runtime (futures, executor, simulated
-  cluster, AGAS, performance counters, fault schedules, network
-  topologies);
+* :mod:`repro.amt` — HPX-like runtime (futures, simulated cluster,
+  AGAS, performance counters, fault schedules, network topologies);
 * :mod:`repro.partition` — from-scratch multilevel graph partitioner
   (METIS substitute) + geometric baselines + topology-aware placement;
 * :mod:`repro.mesh` — grids, sub-domains, stencils, decomposition;
-* :mod:`repro.solver` — serial / shared-memory-async / distributed
-  solvers for the nonlocal heat equation, with pluggable kernel
-  backends (:mod:`repro.solver.backends`: direct / fft / sparse);
+* :mod:`repro.solver` — serial and distributed solvers for the
+  nonlocal heat equation, with pluggable kernel backends
+  (:mod:`repro.solver.backends`: direct / fft / sparse);
 * :mod:`repro.core` — the paper's load-balancing algorithm and its
   pluggable strategy alternatives (:mod:`repro.core.strategies`:
   tree / diffusion / greedy / repartition);
@@ -35,7 +34,7 @@ Sub-packages:
   (specs, registry, parallel sweep runner, structured results).
 """
 
-from .amt import ConstantSpeed, PiecewiseSpeed, SimCluster, TaskExecutor
+from .amt import ConstantSpeed, PiecewiseSpeed, SimCluster
 from .experiments import (ClusterSpec, MeshSpec, PartitionSpec, PolicySpec,
                           RunRecord, ScenarioSpec, TopologySpec,
                           build_scenario, run_scenario, run_sweep,
@@ -46,21 +45,21 @@ from .mesh import Decomposition, SubdomainGrid, UniformGrid, build_stencil
 from .models import Crack, crack_work_factors
 from .partition import (block_partition, partition_graph, partition_sd_grid,
                         strip_partition)
-from .solver import (AsyncSolver, DistributedSolver, ManufacturedProblem,
+from .solver import (DistributedSolver, ManufacturedProblem,
                      NonlocalHeatModel, SerialSolver, backend_names,
                      solve_manufactured)
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "ConstantSpeed", "PiecewiseSpeed", "SimCluster", "TaskExecutor",
+    "ConstantSpeed", "PiecewiseSpeed", "SimCluster",
     "BalanceStrategy", "IntervalPolicy", "NeverBalance", "ThresholdPolicy",
     "strategy_names",
     "Decomposition", "SubdomainGrid", "UniformGrid", "build_stencil",
     "Crack", "crack_work_factors",
     "block_partition", "partition_graph", "partition_sd_grid",
     "strip_partition",
-    "AsyncSolver", "DistributedSolver", "ManufacturedProblem",
+    "DistributedSolver", "ManufacturedProblem",
     "NonlocalHeatModel", "SerialSolver", "backend_names",
     "solve_manufactured",
     "MeshSpec", "ClusterSpec", "PartitionSpec", "PolicySpec",

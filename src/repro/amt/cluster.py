@@ -34,7 +34,7 @@ from ..costmodel import FLAT, WorkItem
 from .agas import AddressSpace
 from .counters import BusyTimeCounter, CounterRegistry
 from .des import Event, SimulationError, Simulator
-from .future import _MULTI, Future, LocalFuture, local_when_all
+from .future import _MULTI, Future, when_all
 from .topology import FlatTopology, Topology
 
 __all__ = ["SpeedTrace", "ConstantSpeed", "PiecewiseSpeed", "RampSpeed",
@@ -355,7 +355,7 @@ class SimTask:
         self.work = float(work)
         self.action = action
         # single-threaded DES: the lock-free future variant
-        self.future: Future = LocalFuture()
+        self.future: Future = Future()
         self.label = label
         self.tag = tag
 
@@ -572,7 +572,7 @@ class SimCluster:
         if not deps:
             self._enqueue(node, task)
         else:
-            local_when_all(list(deps))._add_callback(
+            when_all(list(deps))._add_callback(
                 lambda _f: self._enqueue(node, task))
         return task.future
 
@@ -596,7 +596,7 @@ class SimCluster:
         if not deps:
             self._enqueue(node, task)
         else:
-            local_when_all(list(deps))._add_callback(
+            when_all(list(deps))._add_callback(
                 lambda _f: self._enqueue(node, task))
 
     def timer(self, delay: float, payload: Any = None) -> Future:
@@ -607,7 +607,7 @@ class SimCluster:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        fut = LocalFuture()
+        fut = Future()
         if delay == 0:
             fut._set_value(payload)
         else:
@@ -622,7 +622,7 @@ class SimCluster:
         if src != dst:
             self._net_counters[src][0].add(nbytes)
             self._net_counters[dst][1].add(nbytes)
-        fut = LocalFuture()
+        fut = Future()
         arrival = self.network.plan_send(src, dst, nbytes, self.sim.now)
         if arrival <= self.sim.now:
             fut._set_value(payload)
@@ -659,7 +659,7 @@ class SimCluster:
                 tx._lifetime += nbytes
                 rx._window += nbytes
                 rx._lifetime += nbytes
-            fut = LocalFuture()
+            fut = Future()
             arrival = plan_send(src, dst, nbytes, now)
             if arrival <= now:
                 fut._set_value(None)
@@ -681,8 +681,8 @@ class SimCluster:
         manager uses once autoscaling grows or drains the fleet, since
         dead nodes keep their ids.  Semantically identical to::
 
-            local_when_all([self.submit(nid, w, label=label)
-                            for nid, w in zip(nodes, works)])
+            when_all([self.submit(nid, w, label=label)
+                      for nid, w in zip(nodes, works)])
 
         and falls back to exactly that when batching is off or any
         target node is not on the group fast path (dead, multi-core,
@@ -737,14 +737,14 @@ class SimCluster:
                     break
                 targets.append(node)
         if targets is None:
-            fut = local_when_all(
+            fut = when_all(
                 [self.submit(nid, w, label=label)
                  for nid, w in zip(ids, works)])
             if callback is None:
                 return fut
             fut._add_callback(lambda _f: callback())
             return None
-        fut = LocalFuture() if callback is None else None
+        fut = Future() if callback is None else None
         batch = _Batch(callback or fut._resolve_none, targets)
         t_max = self._append_entries(targets, works, batch)
         batch.event = self.sim.schedule(
@@ -756,7 +756,7 @@ class SimCluster:
                    callback=None) -> Optional[Future]:
         """Issue sends back-to-back; one barrier future for the batch.
 
-        Semantically ``local_when_all(self.send_many(messages))`` — the
+        Semantically ``when_all(self.send_many(messages))`` — the
         network planning, egress serialization and byte counters are
         identical and happen eagerly in message order — but on the fast
         path only *one* delivery event is scheduled, at the latest
@@ -770,7 +770,7 @@ class SimCluster:
         and the method returns ``None``.
         """
         if not self.wave_batching:
-            fut = local_when_all(self.send_many(messages))
+            fut = when_all(self.send_many(messages))
             if callback is None:
                 return fut
             fut._add_callback(lambda _f: callback())
@@ -800,7 +800,7 @@ class SimCluster:
                 sim.schedule(t_max, callback, priority=0,
                              klass="delivery")
             return None
-        fut = LocalFuture()
+        fut = Future()
         if t_max <= now:
             fut._set_value(None)
         else:
@@ -1013,11 +1013,11 @@ class SimCluster:
             # resolves its members at the wave's end, so an observed
             # member is only safe when every observer also waits for
             # the wave's final member: a run may end at a member of the
-            # single common local_when_all barrier (the barrier cannot
+            # single common when_all barrier (the barrier cannot
             # fire before the run's own end), at an unobserved member,
             # or at a multi-observed member (its own true completion
             # time is the wave end).  Futures observed *after* the wave
-            # forms trigger a live revert (see LocalFuture._wave).
+            # forms trigger a live revert (see Future._wave).
             k = 0
             end = 0
             common = None
@@ -1080,7 +1080,7 @@ class SimCluster:
             priority=1, klass="wave")
         # a subscriber attaching to a non-final member mid-flight must
         # see the true completion time: arm the live revert trigger
-        # (fired from LocalFuture._add_callback)
+        # (fired from Future._add_callback)
         trigger = (lambda: self._revert(node)
                    if batch.event is not None else None)
         for task in tasks[:-1]:
@@ -1193,7 +1193,7 @@ class SimCluster:
         Without ``node`` (a ``run(until=...)`` cut, counter reset)
         every node's entries revert.  With ``node`` (its failure, a
         per-event task mixing onto its group entries, a late subscriber
-        on its run, ``LocalFuture._wave``) only its run does, or, if it
+        on its run, ``Future._wave``) only its run does, or, if it
         holds group entries, every node's group entries (a group
         reverts whole).  Done entries retire first; the head of the
         rest (``start <= now``) becomes a ``running`` task with an open

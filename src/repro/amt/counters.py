@@ -72,11 +72,11 @@ class Counter:
 class BusyTimeCounter(Counter):
     """Busy-time accumulator fed by explicit work intervals.
 
-    Each simulated core (or real worker thread) brackets task execution
-    with ``begin_work(t)`` / ``end_work(t)``; the counter accumulates the
-    interval lengths.  Concurrent intervals add up — two cores busy for
-    one second contribute two busy-seconds, exactly like summing HPX's
-    per-worker idle-rate counters.
+    Each simulated core brackets task execution with ``begin_work(t)`` /
+    ``end_work(t)``; the counter accumulates the interval lengths.
+    Concurrent intervals add up — two cores busy for one second
+    contribute two busy-seconds, exactly like summing HPX's per-worker
+    idle-rate counters.
     """
 
     def __init__(self, name: str) -> None:

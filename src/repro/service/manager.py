@@ -9,7 +9,7 @@ the one shared :class:`SimCluster`.
 
 An admitted job runs as a mini step-DAG: each relaxation sweep is one
 task per node (the tenant's mesh rows block-split across the whole
-cluster), sweeps are chained through a ``local_when_all`` barrier, and
+cluster), sweeps are chained through a ``when_all`` barrier, and
 between sweeps neighbouring nodes exchange one ghost-row message each
 way.  Concurrent jobs' tasks interleave in the nodes' FIFO ready
 queues, so multi-tenant interference emerges from the DES itself rather

@@ -12,7 +12,7 @@ trace.
 
 Wave batching now runs **on** by default on the service cluster: the
 wave machinery is barrier-aware (a wave is materialized the moment a
-``local_when_all`` barrier observes any of its member futures early,
+``when_all`` barrier observes any of its member futures early,
 and ``submit_group`` / ``send_group`` batch each sweep and exchange
 into one DES event per job step), so interleaved multi-job DAGs see
 bit-identical telemetry with batching on or off.  ``wave_batching``

@@ -1,14 +1,12 @@
 """Nonlocal heat-equation solvers (paper Secs. 3, 6, 8).
 
-Three implementations of the same forward-Euler discretization (eq. 5),
-mirroring the paper's development path:
+Two implementations of the same forward-Euler discretization (eq. 5):
 
 * :class:`repro.solver.serial.SerialSolver` — single-threaded reference;
-* :class:`repro.solver.async_solver.AsyncSolver` — shared-memory
-  futurized SD tasks on a real thread pool (Sec. 8.2);
-* :class:`repro.solver.distributed.DistributedSolver` — SD-distributed
-  with ghost exchange, Case-1/Case-2 overlap and load balancing on the
-  simulated cluster (Secs. 6-7, 8.3).
+* :class:`repro.solver.distributed.DistributedSolver` — futurized SD
+  tasks with ghost exchange, Case-1/Case-2 overlap and load balancing on
+  the simulated cluster (Secs. 6-7, 8.2-8.3); one multi-core node gives
+  the shared-memory runs.
 
 Supporting modules: the model constants (:mod:`repro.solver.model`), the
 vectorized kernels (:mod:`repro.solver.kernel`), the pluggable kernel
@@ -17,11 +15,9 @@ one interface) and the manufactured exact solution
 (:mod:`repro.solver.exact`).
 """
 
-from .async_solver import AsyncSolver
 from .backends import (KernelBackend, apply_operator_reference,
                        auto_backend_name, backend_names, make_backend)
 from .distributed import DistributedResult, DistributedSolver
-from .local import LocalHeatSolver, local_stable_dt
 from .exact import (ManufacturedProblem, interior_multiplier, step_error,
                     total_error)
 from .kernel import NonlocalOperator, assemble_sparse_operator, stable_dt
@@ -30,11 +26,9 @@ from .model import (InfluenceFunction, NonlocalHeatModel, constant_influence,
 from .serial import SerialSolver, SolveResult, solve_manufactured
 
 __all__ = [
-    "AsyncSolver",
     "KernelBackend", "apply_operator_reference", "auto_backend_name",
     "backend_names", "make_backend",
     "DistributedResult", "DistributedSolver",
-    "LocalHeatSolver", "local_stable_dt",
     "ManufacturedProblem", "interior_multiplier", "step_error", "total_error",
     "NonlocalOperator", "assemble_sparse_operator", "stable_dt",
     "InfluenceFunction", "NonlocalHeatModel", "constant_influence",

@@ -41,8 +41,7 @@ class FFTBackend(ConvolutionKernelBackend):
     def __init__(self, stencil, scale) -> None:
         super().__init__(stencil, scale)
         #: fft shape -> rfft2 of the zero-padded mask; guarded by a lock
-        #: — the AsyncSolver applies one shared operator from worker
-        #: threads
+        #: so one shared operator may be applied from several threads
         self._mask_fft: Dict[Tuple[int, int], np.ndarray] = {}
         self._lock = threading.Lock()
 

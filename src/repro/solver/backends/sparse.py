@@ -35,8 +35,8 @@ class SparseBackend(KernelBackend):
 
     def __init__(self, stencil, scale) -> None:
         super().__init__(stencil, scale)
-        # guarded by a lock: the AsyncSolver applies one shared
-        # operator from worker threads
+        # guarded by a lock so one shared operator may be applied from
+        # several threads
         self._matrices: Dict[Tuple[str, int, int], sp.csr_matrix] = {}
         self._lock = threading.Lock()
 

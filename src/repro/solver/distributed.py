@@ -31,7 +31,7 @@ from ..amt.cluster import (BusyCursor, ConstantSpeed, SimCluster, SimTask,
                            SpeedTrace, StraggleSpeed)
 from ..amt.topology import Topology
 from ..amt.faults import ChurnEvent, FaultSchedule, RecoveryEvent
-from ..amt.future import Future, local_when_all
+from ..amt.future import Future, when_all
 from ..core.policy import BalancePolicy, NeverBalance
 from ..core.power import imbalance_ratio
 from ..core.strategies import (BalanceEvent, BalanceResult, BalanceStrategy,
@@ -574,7 +574,7 @@ class DistributedSolver:
                     return  # abandon the run; run() re-raises
             self._end_step(s)
 
-        local_when_all(sd_futures)._add_callback(barrier)
+        when_all(sd_futures)._add_callback(barrier)
 
     def _make_action(self, sd: int, b: Optional[np.ndarray]):
         """The real numeric update for SD ``sd`` (reads u_old, writes u_new)."""
@@ -659,7 +659,7 @@ class DistributedSolver:
 
         if step + 1 < self._num_steps:
             if migration_futs:
-                local_when_all(migration_futs)._add_callback(
+                when_all(migration_futs)._add_callback(
                     lambda _f, s=step + 1: self._start_step(s))
             else:
                 self._start_step(step + 1)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.amt.cluster import (ConstantSpeed, PiecewiseSpeed, RampSpeed,
                                SimCluster)
 from repro.amt.des import SimulationError
+from repro.amt.future import Future, when_all
 from repro.amt.topology import FlatTopology
 
 
@@ -333,6 +334,68 @@ class TestSimCluster:
             return end, cluster.busy_time(0), cluster.busy_time(1)
 
         assert run_once() == run_once()
+
+
+class TestTaskFutures:
+    """Task futures compose with ``then``/``when_all`` on virtual time."""
+
+    def test_submit_returns_a_pending_future(self):
+        cluster = SimCluster(num_nodes=1)
+        fut = cluster.submit(0, work=1.0, action=lambda: 3)
+        assert type(fut) is Future
+        assert not fut.is_ready()
+        cluster.run()
+        assert fut.get() == 3
+
+    @pytest.mark.parametrize("wave", [True, False])
+    def test_then_runs_at_completion_time(self, wave):
+        cluster = SimCluster(num_nodes=1, speeds=[ConstantSpeed(2.0)],
+                             wave_batching=wave)
+        seen = []
+        for work in (2.0, 6.0):
+            cluster.submit(0, work=work).then(
+                lambda f: seen.append(cluster.now))
+        cluster.run()
+        assert seen == [pytest.approx(1.0), pytest.approx(4.0)]
+
+    @pytest.mark.parametrize("wave", [True, False])
+    def test_when_all_fires_at_last_completion(self, wave):
+        cluster = SimCluster(num_nodes=2, wave_batching=wave)
+        futs = [cluster.submit(0, work=3.0), cluster.submit(0, work=1.0),
+                cluster.submit(1, work=2.0)]
+        seen = []
+        when_all(futs).then(lambda f: seen.append(cluster.now))
+        cluster.run()
+        assert seen == [pytest.approx(4.0)]
+
+    def test_paper_listing1_on_the_cluster(self):
+        """Listing 1's ``a+b``, ``c+d`` on two nodes, summed by a task
+        that depends on both."""
+        cluster = SimCluster(num_nodes=2)
+        ab = cluster.submit(0, work=1.0, action=lambda: 1 + 2)
+        cd = cluster.submit(1, work=2.0, action=lambda: 3 + 4)
+        total = cluster.submit(0, work=1.0, deps=[ab, cd],
+                               action=lambda: ab.get() + cd.get())
+        assert cluster.run() == pytest.approx(3.0)
+        assert total.get() == 10
+
+    def test_many_small_tasks_complete(self):
+        cluster = SimCluster(num_nodes=2, cores_per_node=2)
+        futs = [cluster.submit(i % 2, work=1.0, action=lambda i=i: i)
+                for i in range(200)]
+        cluster.run()
+        assert sum(f.get() for f in futs) == sum(range(200))
+        assert cluster.busy_time(0) + cluster.busy_time(1) == \
+            pytest.approx(200.0)
+        assert cluster.now == pytest.approx(50.0)
+
+    def test_invalid_num_nodes(self):
+        with pytest.raises(ValueError, match="num_nodes must be >= 1"):
+            SimCluster(num_nodes=0)
+
+    def test_invalid_cores_per_node(self):
+        with pytest.raises(ValueError, match="cores must be >= 1"):
+            SimCluster(num_nodes=1, cores_per_node=0)
 
 
 class TestDefaultRate:

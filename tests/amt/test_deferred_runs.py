@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.amt.cluster import SimCluster
-from repro.amt.future import local_when_all
+from repro.amt.future import when_all
 
 
 class TestDoneRule:
@@ -80,7 +80,7 @@ class TestDoneRule:
         values = []
         for batching in (True, False):
             cluster = SimCluster(1, wave_batching=batching)
-            local_when_all([cluster.submit(0, 1.0) for _ in range(6)])
+            when_all([cluster.submit(0, 1.0) for _ in range(6)])
             got = []
             for t in (0.5, 2.0, 3.5):
                 cluster.sim.schedule(
@@ -100,7 +100,7 @@ class TestRunsUnderMixing:
         results = {}
         for batching in (True, False):
             cluster = SimCluster(2, wave_batching=batching)
-            local_when_all([cluster.submit(0, 1.0) for _ in range(6)])
+            when_all([cluster.submit(0, 1.0) for _ in range(6)])
             gate = cluster.submit(1, 2.5)
             late = cluster.submit(0, 1.0, deps=[gate])
             stamps = []
@@ -148,7 +148,7 @@ class TestRunsUnderMixing:
             run = [cluster.submit(0, 1.0) for _ in range(2)]
             cluster.submit(0, 1.0, action=lambda: None)
             tail = cluster.submit(0, 1.0)
-            local_when_all(run)._add_callback(
+            when_all(run)._add_callback(
                 lambda _f, c=cluster: c.submit_group(
                     [1.0], nodes=[0])._add_callback(
                         lambda _g: stamps.append(("group", c.now))))
@@ -232,7 +232,7 @@ def _replay(ops, cuts, batching):
                 futs = [cluster.submit(live(node), w, deps=deps)
                         for w in works]
                 futures.extend(futs)
-                observe(("submit", i), local_when_all(futs))
+                observe(("submit", i), when_all(futs))
         elif kind == "group":
             _, _, prio, works = op
 

@@ -1,119 +1,138 @@
-"""Unit tests for the futures/promises layer."""
-
-import threading
+"""Unit tests for the single-threaded futures layer."""
 
 import pytest
 
-from repro.amt.future import (Future, FutureError, LocalFuture, Promise,
-                              dataflow, local_when_all,
-                              make_exceptional_future, make_ready_future,
-                              when_all)
+from repro.amt import future as future_mod
+from repro.amt.future import Future, FutureError, when_all
 
 
-class TestPromiseFuture:
-    def test_set_then_get(self):
-        p = Promise()
-        p.set_value(42)
-        assert p.get_future().get() == 42
+def _ready(value=None):
+    fut = Future()
+    fut._set_value(value)
+    return fut
 
-    def test_get_future_returns_same_future(self):
-        p = Promise()
-        assert p.get_future() is p.get_future()
 
+def _failed(exc):
+    fut = Future()
+    fut._set_exception(exc)
+    return fut
+
+
+class TestFuture:
     def test_not_ready_initially(self):
-        p = Promise()
-        assert not p.get_future().is_ready()
+        fut = Future()
+        assert not fut.is_ready()
+        assert not fut.has_exception()
 
-    def test_ready_after_set(self):
-        p = Promise()
-        p.set_value(None)
-        assert p.get_future().is_ready()
-
-    def test_double_set_raises(self):
-        p = Promise()
-        p.set_value(1)
-        with pytest.raises(FutureError):
-            p.set_value(2)
-
-    def test_set_exception_then_get_raises(self):
-        p = Promise()
-        p.set_exception(ValueError("boom"))
-        with pytest.raises(ValueError, match="boom"):
-            p.get_future().get()
-
-    def test_has_exception(self):
-        p = Promise()
-        p.set_exception(RuntimeError("x"))
-        assert p.get_future().has_exception()
+    def test_none_is_a_value(self):
+        fut = Future()
+        fut._set_value(None)
+        assert fut.is_ready()
+        assert fut.get() is None
 
     def test_value_future_has_no_exception(self):
-        assert not make_ready_future(3).has_exception()
+        assert not _ready(3).has_exception()
 
-    def test_get_timeout_raises(self):
-        p = Promise()
-        with pytest.raises(FutureError, match="timed out"):
-            p.get_future().get(timeout=0.01)
-
-    def test_wait_timeout_raises(self):
-        p = Promise()
-        with pytest.raises(FutureError, match="timed out"):
-            p.get_future().wait(timeout=0.01)
-
-    def test_get_none_value(self):
-        p = Promise()
-        p.set_value(None)
-        assert p.get_future().get() is None
-
-    def test_cross_thread_get(self):
-        p = Promise()
-
-        def producer():
-            p.set_value("from-thread")
-
-        t = threading.Thread(target=producer)
-        t.start()
-        assert p.get_future().get(timeout=5.0) == "from-thread"
-        t.join()
-
-
-class TestReadyFutures:
-    def test_make_ready(self):
-        assert make_ready_future(7).get() == 7
-
-    def test_make_ready_default_none(self):
-        assert make_ready_future().get() is None
-
-    def test_make_exceptional(self):
-        f = make_exceptional_future(KeyError("k"))
-        assert f.is_ready() and f.has_exception()
+    def test_resolved_future_rejects_either_fulfilment(self):
+        done, failed = _ready(1), _failed(KeyError("k"))
+        for fut in (done, failed):
+            with pytest.raises(FutureError, match="already resolved"):
+                fut._set_value(2)
+            with pytest.raises(FutureError, match="already resolved"):
+                fut._set_exception(ValueError())
+        assert done.get() == 1
         with pytest.raises(KeyError):
-            f.get()
+            failed.get()
+
+    def test_callbacks_run_once_in_attach_order(self):
+        fut = Future()
+        order = []
+        for tag in "abc":
+            fut._add_callback(lambda f, tag=tag: order.append(tag))
+        fut._set_value(None)
+        assert order == ["a", "b", "c"]
+        with pytest.raises(FutureError):
+            fut._set_value(None)
+        assert order == ["a", "b", "c"]
+
+    def test_resolve_runs_callbacks_and_late_ones_immediately(self):
+        fut = Future()
+        assert not fut.is_ready()
+        got = []
+        fut._add_callback(lambda f: got.append(f.get()))
+        fut._set_value(41)
+        assert fut.is_ready() and fut.get() == 41
+        assert not fut.has_exception()
+        assert got == [41]
+        # late callbacks run immediately
+        fut._add_callback(lambda f: got.append(f.get() + 1))
+        assert got == [41, 42]
+
+    def test_double_resolve_rejected(self):
+        fut = Future()
+        fut._set_value(1)
+        with pytest.raises(FutureError):
+            fut._set_value(2)
+
+    def test_pending_get_raises_instead_of_blocking(self):
+        fut = Future()
+        with pytest.raises(FutureError, match="not ready"):
+            fut.get()
+
+    def test_exception_path(self):
+        fut = Future()
+        fut._set_exception(ValueError("boom"))
+        assert fut.is_ready() and fut.has_exception()
+        with pytest.raises(ValueError, match="boom"):
+            fut.get()
+
+    def test_resolve_none_is_a_bound_event_action(self):
+        fut = Future()
+        fut._resolve_none()
+        assert fut.get() is None
 
 
 class TestThen:
     def test_then_on_ready_future_runs_immediately(self):
-        f = make_ready_future(10)
-        g = f.then(lambda fut: fut.get() * 2)
+        g = _ready(10).then(lambda fut: fut.get() * 2)
         assert g.get() == 20
 
     def test_then_on_pending_runs_after_set(self):
-        p = Promise()
-        g = p.get_future().then(lambda fut: fut.get() + 1)
+        f = Future()
+        g = f.then(lambda fut: fut.get() + 1)
         assert not g.is_ready()
-        p.set_value(1)
+        f._set_value(1)
         assert g.get() == 2
 
     def test_then_propagates_continuation_exception(self):
-        f = make_ready_future(0)
-        g = f.then(lambda fut: 1 / fut.get())
+        g = _ready(0).then(lambda fut: 1 / fut.get())
         with pytest.raises(ZeroDivisionError):
             g.get()
 
     def test_then_chain(self):
-        p = Promise()
-        g = p.get_future().then(lambda f: f.get() + 1).then(lambda f: f.get() * 3)
-        p.set_value(4)
+        f = Future()
+        g = f.then(lambda f: f.get() + 1).then(lambda f: f.get() * 3)
+        f._set_value(4)
         assert g.get() == 15
+
+
+    def test_then_result_is_a_future(self):
+        fut = Future()
+        out = fut.then(lambda f: f.get() * 2)
+        assert type(out) is Future
+        fut._set_value(21)
+        assert out.get() == 42
+
+    def test_then_sees_input_exception(self):
+        out = _failed(RuntimeError("input failed")).then(lambda f: f.get())
+        assert out.has_exception()
+        with pytest.raises(RuntimeError, match="input failed"):
+            out.get()
+
+    def test_then_may_recover_from_input_exception(self):
+        out = _failed(RuntimeError()).then(
+            lambda f: "fallback" if f.has_exception() else f.get())
+        assert out.get() == "fallback"
 
 
 class TestWhenAll:
@@ -123,128 +142,129 @@ class TestWhenAll:
         assert f.get() == []
 
     def test_fires_after_last(self):
-        ps = [Promise() for _ in range(3)]
-        combined = when_all(p.get_future() for p in ps)
-        ps[0].set_value(0)
-        ps[2].set_value(2)
+        futs = [Future() for _ in range(3)]
+        combined = when_all(iter(futs))
+        futs[0]._set_value(0)
+        futs[2]._set_value(2)
         assert not combined.is_ready()
-        ps[1].set_value(1)
-        assert combined.is_ready()
-        values = [f.get() for f in combined.get()]
-        assert values == [0, 1, 2]
+        futs[1]._set_value(1)
+        assert combined.get() == futs
+        assert [f.get() for f in combined.get()] == [0, 1, 2]
 
     def test_all_already_ready(self):
-        futs = [make_ready_future(i) for i in range(4)]
-        combined = when_all(futs)
+        combined = when_all([_ready(i) for i in range(4)])
         assert combined.is_ready()
         assert [f.get() for f in combined.get()] == [0, 1, 2, 3]
 
+    def test_mixed_with_already_ready(self):
+        pending = Future()
+        out = when_all([_ready("x"), pending])
+        assert not out.is_ready()
+        pending._set_value("y")
+        assert out.is_ready()
+
     def test_exceptional_input_still_completes(self):
-        futs = [make_ready_future(1), make_exceptional_future(ValueError())]
-        combined = when_all(futs)
+        combined = when_all([_ready(1), _failed(ValueError())])
         assert combined.is_ready()
         assert combined.get()[1].has_exception()
 
+    def test_repeated_input_counts_each_occurrence(self):
+        fut = Future()
+        combined = when_all([fut, fut])
+        assert not combined.is_ready()
+        fut._set_value(5)
+        assert combined.get() == [fut, fut]
 
-class TestDataflow:
+
+def _add(*futs):
+    """``dataflow``-style composition: add the inputs' values once all
+    are ready, built from :func:`when_all` and :meth:`Future.then`."""
+    return when_all(futs).then(
+        lambda done: sum(f.get() for f in done.get()))
+
+
+class TestComposition:
+    """The paper's dataflow idiom expressed as ``when_all(...).then``."""
+
     def test_paper_listing1_add(self):
         # mirrors the paper's Listing 1: a+b and c+d computed
         # asynchronously, then combined.
-        a_add_b = make_ready_future(1 + 2)
-        c_add_d = make_ready_future(3 + 4)
-        total = dataflow(lambda x, y: x + y, a_add_b, c_add_d)
-        assert total.get() == 10
+        assert _add(_ready(1 + 2), _ready(3 + 4)).get() == 10
 
     def test_waits_for_pending(self):
-        p1, p2 = Promise(), Promise()
-        out = dataflow(lambda a, b: a * b, p1.get_future(), p2.get_future())
-        p1.set_value(6)
+        a, b = Future(), Future()
+        out = when_all([a, b]).then(
+            lambda done: done.get()[0].get() * done.get()[1].get())
+        a._set_value(6)
         assert not out.is_ready()
-        p2.set_value(7)
+        b._set_value(7)
         assert out.get() == 42
 
     def test_propagates_input_exception(self):
-        bad = make_exceptional_future(RuntimeError("input failed"))
-        out = dataflow(lambda a, b: a + b, make_ready_future(1), bad)
+        out = _add(_ready(1), _failed(RuntimeError("input failed")))
         with pytest.raises(RuntimeError, match="input failed"):
             out.get()
 
     def test_propagates_fn_exception(self):
-        out = dataflow(lambda: 1 / 0)
+        out = when_all([_ready(1)]).then(lambda done: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             out.get()
 
     def test_no_inputs_runs_immediately(self):
-        out = dataflow(lambda: "ok")
-        assert out.get() == "ok"
+        assert _add().get() == 0
 
 
-class TestLocalFuture:
-    """Lock-free single-threaded variant used on the DES hot path."""
+class TestBarrierGroups:
+    """The ``_group``/``_wave`` slots wave batching reads."""
 
-    def test_same_protocol_as_future(self):
-        fut = LocalFuture()
-        assert not fut.is_ready()
-        got = []
-        fut._add_callback(lambda f: got.append(f.get()))
-        fut._set_value(41)
-        assert fut.is_ready() and fut.get() == 41
-        assert got == [41]
-        # late callbacks run immediately
-        fut._add_callback(lambda f: got.append(f.get() + 1))
-        assert got == [41, 42]
+    def test_unobserved_future_has_no_group(self):
+        fut = Future()
+        assert fut._group is None and fut._wave is None
 
-    def test_double_resolve_rejected(self):
-        fut = LocalFuture()
-        fut._set_value(1)
-        with pytest.raises(FutureError):
-            fut._set_value(2)
+    def test_when_all_tags_inputs_with_its_output(self):
+        futs = [Future(), Future()]
+        out = when_all(futs)
+        assert all(f._group is out for f in futs)
 
-    def test_pending_get_raises_instead_of_blocking(self):
-        fut = LocalFuture()
-        with pytest.raises(FutureError, match="not ready"):
-            fut.get()
-        with pytest.raises(FutureError, match="not ready"):
-            fut.wait()
+    def test_second_barrier_marks_input_multi(self):
+        shared, own = Future(), Future()
+        first = when_all([shared, own])
+        when_all([shared])
+        assert shared._group is future_mod._MULTI
+        assert own._group is first
 
-    def test_exception_path(self):
-        fut = LocalFuture()
-        fut._set_exception(ValueError("boom"))
-        assert fut.has_exception()
-        with pytest.raises(ValueError, match="boom"):
-            fut.get()
+    def test_then_marks_input_multi(self):
+        fut = Future()
+        fut.then(lambda f: None)
+        assert fut._group is future_mod._MULTI
 
-    def test_then_stays_local(self):
-        fut = LocalFuture()
-        out = fut.then(lambda f: f.get() * 2)
-        assert isinstance(out, LocalFuture)
-        fut._set_value(21)
-        assert out.get() == 42
+    def test_barrier_does_not_clear_multi(self):
+        fut = Future()
+        fut._add_callback(lambda f: None)
+        when_all([fut])
+        assert fut._group is future_mod._MULTI
 
-    def test_resolve_none_is_a_bound_event_action(self):
-        fut = LocalFuture()
-        fut._resolve_none()
-        assert fut.get() is None
+    def test_ready_input_is_not_tagged(self):
+        ready = _ready(1)
+        when_all([ready])
+        ready.then(lambda f: None)
+        assert ready._group is None
+        assert future_mod._active_group is None
 
+    def test_wave_hook_fires_on_each_new_subscriber(self):
+        fut = Future()
+        calls = []
+        fut._wave = lambda: calls.append(future_mod._active_group)
+        when_all([fut])
+        fut.then(lambda f: None)
+        assert calls == [None, None]
 
-class TestLocalWhenAll:
-    def test_fires_after_all_inputs(self):
-        futs = [LocalFuture() for _ in range(3)]
-        out = local_when_all(futs)
-        assert isinstance(out, LocalFuture)
-        for f in futs[:-1]:
-            f._set_value(None)
-            assert not out.is_ready()
-        futs[-1]._set_value(None)
-        assert out.get() == futs
-
-    def test_empty_is_immediately_ready(self):
-        assert local_when_all([]).get() == []
-
-    def test_mixed_with_already_ready(self):
-        ready = make_ready_future("x")
-        pending = LocalFuture()
-        out = local_when_all([ready, pending])
-        assert not out.is_ready()
-        pending._set_value("y")
-        assert out.is_ready()
+    def test_wave_hook_subscriptions_are_untagged(self):
+        """Subscriptions a wave hook makes while a barrier is subscribing
+        must not inherit that barrier's tag."""
+        inner = Future()
+        outer = Future()
+        outer._wave = lambda: inner._add_callback(lambda f: None)
+        barrier = when_all([outer])
+        assert outer._group is barrier
+        assert inner._group is future_mod._MULTI

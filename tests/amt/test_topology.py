@@ -39,11 +39,6 @@ TOPOLOGY_FACTORIES = {
 }
 
 
-def _make_topologies():
-    """One fresh instance of every registered topology variant."""
-    return [make() for make in TOPOLOGY_FACTORIES.values()]
-
-
 #: (src, dst, nbytes, dt>=0) tuples; the schedule walks now += dt.
 _messages = st.lists(
     st.tuples(st.integers(0, 5), st.integers(0, 5),
@@ -130,10 +125,10 @@ class TestTopologyProperties:
         factory = TOPOLOGY_FACTORIES[name]
         assert _replay(factory(), schedule) == _replay(factory(), schedule)
 
-    @pytest.mark.parametrize("topo", _make_topologies(),
-                             ids=lambda t: f"{t.kind}-{id(t) % 97}")
-    def test_routes_are_static(self, topo):
+    @pytest.mark.parametrize("name", sorted(TOPOLOGY_FACTORIES))
+    def test_routes_are_static(self, name):
         """route() is pure: repeated queries agree, sends don't mutate."""
+        topo = TOPOLOGY_FACTORIES[name]()
         pairs = [(0, 3), (1, 4), (2, 5)]
         before = [[(h.key, h.latency, h.bandwidth, h.fifo)
                    for h in topo.route(s, d)] for s, d in pairs]
@@ -143,9 +138,9 @@ class TestTopologyProperties:
                   for h in topo.route(s, d)] for s, d in pairs]
         assert before == after
 
-    @pytest.mark.parametrize("topo", _make_topologies(),
-                             ids=lambda t: f"{t.kind}-{id(t) % 97}")
-    def test_self_send_free_and_uncounted(self, topo):
+    @pytest.mark.parametrize("name", sorted(TOPOLOGY_FACTORIES))
+    def test_self_send_free_and_uncounted(self, name):
+        topo = TOPOLOGY_FACTORIES[name]()
         assert topo.plan_send(2, 2, 10_000, 5.0) == 5.0
         assert topo.bytes_sent == 0
         assert topo.bytes_by_class == {}

@@ -1,7 +1,7 @@
 """Barrier-aware wave batching and the task-group fast path.
 
 The wave fast path historically had to be switched off whenever
-independent jobs' ``local_when_all`` barriers interleaved on one node:
+independent jobs' ``when_all`` barriers interleaved on one node:
 a batched wave resolved its member futures only when the whole wave
 ended, so a barrier over an early member fired late.  These tests pin
 the barrier-aware machinery that lifted that restriction:
@@ -24,7 +24,7 @@ observable streams are equal.
 import numpy as np
 
 from repro.amt.cluster import SimCluster
-from repro.amt.future import local_when_all
+from repro.amt.future import when_all
 
 
 def _two_clusters(n, **kw):
@@ -41,7 +41,7 @@ class TestBarrierAwareWaves:
             c = SimCluster(1, wave_batching=mode)
             futs = [c.submit(0, 10.0) for _ in range(100)]
             fired = []
-            local_when_all(futs)._add_callback(lambda _f, c=c: fired.append(c.now))
+            when_all(futs)._add_callback(lambda _f, c=c: fired.append(c.now))
             c.run()
             results[mode] = fired
             if mode:
@@ -57,9 +57,9 @@ class TestBarrierAwareWaves:
             a = [c.submit(0, 10.0), c.submit(0, 10.0)]
             b = [c.submit(0, 10.0), c.submit(0, 10.0)]
             fired = {}
-            local_when_all(a)._add_callback(
+            when_all(a)._add_callback(
                 lambda _f, c=c: fired.setdefault("A", c.now))
-            local_when_all(b)._add_callback(
+            when_all(b)._add_callback(
                 lambda _f, c=c: fired.setdefault("B", c.now))
             c.run()
             results[mode] = fired

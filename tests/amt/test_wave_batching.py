@@ -56,14 +56,14 @@ class TestWaveEquivalence:
         wave-member futures resolve at the wave's *end*, a documented
         deviation that is invisible through the barrier.)  The barrier
         must fire at the identical virtual instant in both modes."""
-        from repro.amt.future import local_when_all
+        from repro.amt.future import when_all
 
         def run(wave):
             cluster = SimCluster(2, wave_batching=wave)
             futs = [cluster.submit(k % 2, work=w)
                     for k, w in enumerate(WORKS)]
             stamp = []
-            local_when_all(futs)._add_callback(
+            when_all(futs)._add_callback(
                 lambda _f: stamp.append(cluster.now))
             cluster.run()
             return stamp, cluster.now

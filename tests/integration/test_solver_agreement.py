@@ -1,7 +1,8 @@
-"""Integration: the three solvers are the same discretization.
+"""Integration: the serial and distributed solvers are the same
+discretization.
 
-The async and distributed solvers perform the serial solver's arithmetic
-under different schedules; any divergence beyond float round-off means a
+The distributed solver performs the serial solver's arithmetic under a
+different schedule; any divergence beyond float round-off means a
 ghost-exchange or decomposition bug.  These tests sweep layouts,
 horizons, influence functions, and partitioners.
 """
@@ -13,7 +14,6 @@ from repro.mesh.grid import UniformGrid
 from repro.mesh.subdomain import SubdomainGrid
 from repro.partition.geometric import strip_partition
 from repro.partition.kway import partition_sd_grid
-from repro.solver.async_solver import AsyncSolver
 from repro.solver.distributed import DistributedSolver
 from repro.solver.exact import ManufacturedProblem
 from repro.solver.model import (NonlocalHeatModel, gaussian_influence,
@@ -36,13 +36,20 @@ class TestThreeWayAgreement:
     def test_all_solvers_agree_across_horizons(self, eps_factor):
         grid, model, prob, dt, ref = reference(32, eps_factor, 3)
         sg = SubdomainGrid(32, 32, 4, 4)
-        a = AsyncSolver(model, grid, sg, num_threads=2,
-                        source=prob.source, dt=dt).run(
-            prob.initial_condition(), 3)
         d = DistributedSolver(model, grid, sg, partition_sd_grid(4, 4, 3),
                               num_nodes=3, source=prob.source, dt=dt).run(
             prob.initial_condition(), 3)
-        assert np.allclose(a.u, ref.u, atol=1e-12)
+        assert np.allclose(d.u, ref.u, atol=1e-12)
+
+    @pytest.mark.parametrize("eps_factor", [2, 4, 6])
+    def test_shared_memory_node_agrees_across_horizons(self, eps_factor):
+        """All SDs on one 4-core node: the shared-memory configuration."""
+        grid, model, prob, dt, ref = reference(32, eps_factor, 3)
+        sg = SubdomainGrid(32, 32, 4, 4)
+        d = DistributedSolver(model, grid, sg, np.zeros(16, dtype=int),
+                              num_nodes=1, cores_per_node=4,
+                              source=prob.source, dt=dt).run(
+            prob.initial_condition(), 3)
         assert np.allclose(d.u, ref.u, atol=1e-12)
 
     @pytest.mark.parametrize("influence", [linear_influence, gaussian_influence])

@@ -61,6 +61,54 @@ class TestNumericalCorrectness:
         res = dsol.run(prob.initial_condition(), 6)
         assert np.allclose(res.u, ref.u, atol=1e-12)
 
+    @pytest.mark.parametrize("sd_layout,nodes", [((1, 1), 1), ((2, 2), 3),
+                                                 ((4, 4), 3), ((3, 2), 2)])
+    def test_matches_serial_for_any_sd_layout(self, sd_layout, nodes):
+        grid, model, prob, _ = setup()
+        serial = SerialSolver(model, grid, source=prob.source)
+        ref = serial.run(prob.initial_condition(), 4)
+        sg = SubdomainGrid(24, 24, *sd_layout)
+        dsol = DistributedSolver(model, grid, sg,
+                                 block_partition(*sd_layout, nodes),
+                                 num_nodes=nodes, source=prob.source,
+                                 dt=serial.dt)
+        res = dsol.run(prob.initial_condition(), 4)
+        assert np.allclose(res.u, ref.u, atol=1e-12)
+
+    def test_large_radius_halo_across_multiple_sds(self):
+        """Stencil radius bigger than SD size still agrees with serial."""
+        grid, model, prob, sg = setup(nx=16, eps_factor=4, sds=8)  # R=4 > 2-DP SDs
+        serial = SerialSolver(model, grid, source=prob.source)
+        ref = serial.run(prob.initial_condition(), 2)
+        dsol = DistributedSolver(model, grid, sg, block_partition(8, 8, 4),
+                                 num_nodes=4, source=prob.source,
+                                 dt=serial.dt)
+        res = dsol.run(prob.initial_condition(), 2)
+        assert np.allclose(res.u, ref.u, atol=1e-12)
+
+    def test_uneven_sd_sizes(self):
+        grid, model, prob, sg = setup(nx=18, eps_factor=2)  # 18/4 uneven
+        serial = SerialSolver(model, grid, source=prob.source)
+        ref = serial.run(prob.initial_condition(), 2)
+        dsol = DistributedSolver(model, grid, sg, block_partition(4, 4, 2),
+                                 num_nodes=2, source=prob.source,
+                                 dt=serial.dt)
+        res = dsol.run(prob.initial_condition(), 2)
+        assert np.allclose(res.u, ref.u, atol=1e-12)
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_core_count_does_not_change_result(self, cores):
+        """One multi-core node (the shared-memory runs of Figs. 9-10)
+        computes the serial solver's field for any core count."""
+        grid, model, prob, sg = setup(nx=16, eps_factor=2)
+        serial = SerialSolver(model, grid, source=prob.source)
+        ref = serial.run(prob.initial_condition(), 3)
+        dsol = DistributedSolver(model, grid, sg, np.zeros(16, dtype=int),
+                                 num_nodes=1, cores_per_node=cores,
+                                 source=prob.source, dt=serial.dt)
+        res = dsol.run(prob.initial_condition(), 3)
+        assert np.allclose(res.u, ref.u, atol=1e-12)
+
     def test_error_tracking(self):
         grid, model, prob, sg = setup(nx=16, eps_factor=2)
         dsol = DistributedSolver(model, grid, sg, block_partition(4, 4, 2),
@@ -89,6 +137,18 @@ class TestScheduleProperties:
                                num_nodes=2, source=prob.source).run(
             prob.initial_condition(), 3)
         assert r2.makespan < r1.makespan
+
+    def test_more_cores_shorten_a_shared_memory_run(self):
+        grid, model, _, sg = setup()
+        spans = []
+        for cores in (1, 2, 4):
+            dsol = DistributedSolver(model, grid, sg,
+                                     np.zeros(16, dtype=int), num_nodes=1,
+                                     cores_per_node=cores,
+                                     compute_numerics=False)
+            spans.append(dsol.run(None, 3).makespan)
+        assert spans[0] > spans[1] > spans[2]
+        assert spans[0] / spans[2] > 3.0
 
     def test_speedup_close_to_linear_with_cheap_network(self):
         grid, model, prob, sg = setup(nx=32, sds=8)
