@@ -13,7 +13,6 @@ caught real bookkeeping bugs in the load-balancer tests.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, Iterator, List, Tuple
 
 __all__ = ["AddressSpace", "AgasError"]
@@ -24,7 +23,7 @@ class AgasError(KeyError):
 
 
 class AddressSpace:
-    """Thread-safe symbolic-name registry.
+    """Symbolic-name registry.
 
     Names are ``/``-separated paths.  They are stored flat (no directory
     objects); hierarchy exists only through prefix queries, which matches
@@ -32,7 +31,6 @@ class AddressSpace:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._entries: Dict[str, Any] = {}
 
     @staticmethod
@@ -48,28 +46,25 @@ class AddressSpace:
     def register(self, name: str, obj: Any) -> None:
         """Bind ``obj`` to ``name``; duplicate names are an error."""
         key = self._normalize(name)
-        with self._lock:
-            if key in self._entries:
-                raise AgasError(f"name already registered: {key}")
-            self._entries[key] = obj
+        if key in self._entries:
+            raise AgasError(f"name already registered: {key}")
+        self._entries[key] = obj
 
     def unregister(self, name: str) -> Any:
         """Remove and return the object bound to ``name``."""
         key = self._normalize(name)
-        with self._lock:
-            try:
-                return self._entries.pop(key)
-            except KeyError:
-                raise AgasError(f"unknown name: {key}") from None
+        try:
+            return self._entries.pop(key)
+        except KeyError:
+            raise AgasError(f"unknown name: {key}") from None
 
     def resolve(self, name: str) -> Any:
         """Return the object bound to ``name``."""
         key = self._normalize(name)
-        with self._lock:
-            try:
-                return self._entries[key]
-            except KeyError:
-                raise AgasError(f"unknown name: {key}") from None
+        try:
+            return self._entries[key]
+        except KeyError:
+            raise AgasError(f"unknown name: {key}") from None
 
     def contains(self, name: str) -> bool:
         """Whether ``name`` is currently bound."""
@@ -77,8 +72,7 @@ class AddressSpace:
             key = self._normalize(name)
         except AgasError:
             return False
-        with self._lock:
-            return key in self._entries
+        return key in self._entries
 
     def query(self, prefix: str) -> List[Tuple[str, Any]]:
         """Return sorted ``(name, object)`` pairs under ``prefix``.
@@ -88,19 +82,16 @@ class AddressSpace:
         """
         key = self._normalize(prefix)
         needle = key + "/"
-        with self._lock:
-            hits = [(n, o) for n, o in self._entries.items()
-                    if n == key or n.startswith(needle)]
+        hits = [(n, o) for n, o in self._entries.items()
+                if n == key or n.startswith(needle)]
         return sorted(hits)
 
     def names(self) -> List[str]:
         """All registered names, sorted."""
-        with self._lock:
-            return sorted(self._entries)
+        return sorted(self._entries)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names())

@@ -10,21 +10,27 @@ structurally different algorithm, not just geometric heuristics.
 Implementation notes: the Laplacian is assembled sparse; the Fiedler
 vector comes from ``scipy.sparse.linalg.eigsh`` with a deflation shift,
 falling back to dense ``eigh`` for small or ill-conditioned graphs.
-K-way is recursive bisection, like the multilevel driver.
+K-way is recursive bisection, like the multilevel driver.  Only this
+method needs ``scipy.sparse``, so the functions that use it import it:
+runs that partition otherwise never load it.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
 
 from .graph import Graph, graph_from_edges
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["fiedler_vector", "spectral_bisection", "spectral_partition"]
 
 
 def _laplacian(graph: Graph) -> sp.csr_matrix:
+    import scipy.sparse as sp
     n = graph.num_vertices
     rows, cols, vals = [], [], []
     for v in range(n):
@@ -54,6 +60,7 @@ def fiedler_vector(graph: Graph) -> np.ndarray:
     if n <= 64:
         vals, vecs = np.linalg.eigh(L.toarray())
         return vecs[:, 1]
+    from scipy.sparse.linalg import eigsh
     try:
         # shift-invert around 0 finds the smallest eigenvalues quickly
         vals, vecs = eigsh(L, k=2, sigma=-1e-8, which="LM")

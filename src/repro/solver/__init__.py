@@ -20,7 +20,7 @@ from .backends import (KernelBackend, apply_operator_reference,
 from .distributed import DistributedResult, DistributedSolver
 from .exact import (ManufacturedProblem, interior_multiplier, step_error,
                     total_error)
-from .kernel import NonlocalOperator, assemble_sparse_operator, stable_dt
+from .kernel import NonlocalOperator, stable_dt
 from .model import (InfluenceFunction, NonlocalHeatModel, constant_influence,
                     gaussian_influence, influence_moment, linear_influence)
 from .serial import SerialSolver, SolveResult, solve_manufactured
@@ -30,7 +30,7 @@ __all__ = [
     "backend_names", "make_backend",
     "DistributedResult", "DistributedSolver",
     "ManufacturedProblem", "interior_multiplier", "step_error", "total_error",
-    "NonlocalOperator", "assemble_sparse_operator", "stable_dt",
+    "NonlocalOperator", "stable_dt",
     "InfluenceFunction", "NonlocalHeatModel", "constant_influence",
     "gaussian_influence", "influence_moment", "linear_influence",
     "SerialSolver", "SolveResult", "solve_manufactured",

@@ -13,15 +13,17 @@ Zero padding up to the FFT size is exactly the zero-extension ``Dc``
 boundary condition, so no correction terms are needed; the ``same`` /
 ``valid`` crops below select the standard convolution windows from the
 full linear result.
+
+``scipy.fft`` is imported by the first plan, not by the constructor:
+scenarios that build an FFT operator but never apply it (schedule-only
+runs with ``compute_numerics=False``) never load it.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy import fft as sfft
 
 from .base import ConvolutionKernelBackend
 from .registry import register_backend
@@ -40,27 +42,26 @@ class FFTBackend(ConvolutionKernelBackend):
 
     def __init__(self, stencil, scale) -> None:
         super().__init__(stencil, scale)
-        #: fft shape -> rfft2 of the zero-padded mask; guarded by a lock
-        #: so one shared operator may be applied from several threads
+        #: fft shape -> rfft2 of the zero-padded mask
         self._mask_fft: Dict[Tuple[int, int], np.ndarray] = {}
-        self._lock = threading.Lock()
 
     def _plan(self, in_shape: Tuple[int, int]):
         """``(fft_shape, mask_fft)`` for an input of ``in_shape``."""
+        from scipy import fft as sfft
         mh, mw = self.stencil.mask.shape
         fshape = (sfft.next_fast_len(in_shape[0] + mh - 1),
                   sfft.next_fast_len(in_shape[1] + mw - 1))
-        with self._lock:
-            H = self._mask_fft.get(fshape)
-            if H is None:
-                if len(self._mask_fft) >= _MAX_PLANS:
-                    self._mask_fft.pop(next(iter(self._mask_fft)))
-                H = sfft.rfft2(self.stencil.mask, s=fshape)
-                self._mask_fft[fshape] = H
+        H = self._mask_fft.get(fshape)
+        if H is None:
+            if len(self._mask_fft) >= _MAX_PLANS:
+                self._mask_fft.pop(next(iter(self._mask_fft)))
+            H = sfft.rfft2(self.stencil.mask, s=fshape)
+            self._mask_fft[fshape] = H
         return fshape, H
 
     def _convolve_full(self, u: np.ndarray) -> np.ndarray:
         """The full linear convolution (shape ``u.shape + mask - 1``)."""
+        from scipy import fft as sfft
         fshape, H = self._plan(u.shape)
         return sfft.irfft2(sfft.rfft2(u, s=fshape) * H, s=fshape)
 

@@ -9,19 +9,21 @@ the assembly once and then runs pure ``csr_matvec``.
 This is the backend of choice when an explicit matrix is wanted anyway
 (cross-validation, spectral analysis); for raw throughput on large
 grids the FFT backend wins, which is why ``auto`` never selects sparse
-(see ``registry.auto_backend_name``).
+(see ``registry.auto_backend_name``).  ``scipy.sparse`` is imported by
+the first assembly, so only runs that pick this backend load it.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .base import KernelBackend
 from .registry import register_backend
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["SparseBackend"]
 
@@ -35,10 +37,7 @@ class SparseBackend(KernelBackend):
 
     def __init__(self, stencil, scale) -> None:
         super().__init__(stencil, scale)
-        # guarded by a lock so one shared operator may be applied from
-        # several threads
         self._matrices: Dict[Tuple[str, int, int], sp.csr_matrix] = {}
-        self._lock = threading.Lock()
 
     # -- assembly ----------------------------------------------------------
     def _offsets(self):
@@ -52,18 +51,18 @@ class SparseBackend(KernelBackend):
                     yield my - cy, mx - cx, w
 
     def _cache(self, key, build):
-        with self._lock:
-            A = self._matrices.get(key)
-            if A is None:
-                if len(self._matrices) >= _MAX_MATRICES:
-                    self._matrices.pop(next(iter(self._matrices)))
-                A = build()
-                self._matrices[key] = A
+        A = self._matrices.get(key)
+        if A is None:
+            if len(self._matrices) >= _MAX_MATRICES:
+                self._matrices.pop(next(iter(self._matrices)))
+            A = build()
+            self._matrices[key] = A
         return A
 
     def _full_matrix(self, shape: Tuple[int, int]) -> sp.csr_matrix:
         """``A`` with ``L(u).ravel() = A @ u.ravel()`` (zero extension)."""
         def build():
+            import scipy.sparse as sp
             ny, nx = shape
             n = ny * nx
             idx = np.arange(n).reshape(ny, nx)
@@ -98,6 +97,7 @@ class SparseBackend(KernelBackend):
         clipping occurs — rows are dense in the stencil.
         """
         def build():
+            import scipy.sparse as sp
             r = self.stencil.radius
             py, px = pshape
             oy, ox = py - 2 * r, px - 2 * r

@@ -16,12 +16,17 @@ exactly.  This module provides:
   - ``"continuum"``: ``b = dw/dt - c ∫ J (w(y)-w(x)) dy`` with the
     continuum integral evaluated by oversampled midpoint quadrature on a
     refined grid (handles the boundary truncation of the ball exactly as
-    the continuum does).  This is the paper's setting; the numerical
-    error then shows the spatial-discretization convergence of Fig. 8.
+    the continuum does).  ``w`` is separable, so the quadrature at the
+    coarse DPs is the small matrix product ``S_y · mask · S_xᵀ``, not a
+    convolution of the whole refined field.  This is the paper's
+    setting; the numerical error then shows the spatial-discretization
+    convergence of Fig. 8.
 
 * :func:`interior_multiplier` — the closed-form Fourier-multiplier value
   of the ball integral for interior points (Bessel ``J1`` in 2-D), used
-  to cross-validate the quadrature.
+  to cross-validate the quadrature.  It is the only caller of
+  ``scipy.special`` and imports it when called, so importing this module
+  loads no scipy module.
 
 * :func:`step_error` / :func:`total_error` — eq. (7).
 """
@@ -32,8 +37,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.signal import oaconvolve
-from scipy.special import j1
 
 from ..mesh.grid import UniformGrid
 from ..mesh.stencil import build_stencil
@@ -65,6 +68,7 @@ def interior_multiplier(model: NonlocalHeatModel) -> float:
         raise ValueError("closed form requires the constant influence function")
     eps = model.epsilon
     if model.dim == 2:
+        from scipy.special import j1
         kappa = 2.0 * math.sqrt(2.0) * math.pi
         ball = 2.0 * math.pi * eps ** 2 * j1(kappa * eps) / (kappa * eps)
         return float(ball - math.pi * eps ** 2)
@@ -136,17 +140,18 @@ class ManufacturedProblem:
     def _continuum_integral_of_space(self) -> np.ndarray:
         """``c ∫_{B_eps(x)} J (s(y) - s(x)) dy`` at every DP, by quadrature.
 
-        Evaluated on an ``oversample``-refined grid so the ball and the
-        boundary truncation (``w = 0`` on ``Dc``) are resolved well below
-        the coarse-grid discretization error.  The result is sampled back
-        at the coarse DPs (every ``oversample``-th fine cell center is
-        exactly a coarse DP when ``oversample`` is odd-centered; we use
-        the fine cell whose center is nearest, which for integer factors
-        aligns exactly at offset ``(oversample-1)//2`` for odd factors —
-        to keep alignment exact for any factor we evaluate the fine field
-        at fine cell centers and take the fine cell containing each
-        coarse DP center, then correct by evaluating ``s`` exactly at the
-        coarse DP for the local term).
+        Midpoint quadrature on an ``oversample``-refined grid (spacing
+        ``h / q``) resolves the ball and the boundary truncation
+        (``w = 0`` on ``Dc``) well below the coarse-grid discretization
+        error.  ``q`` is odd, so coarse DP ``i`` is exactly the centre of
+        fine cell ``i q + (q - 1) / 2`` and the fine convolution is needed
+        only there.  The field is separable, ``s = s_y ⊗ s_x``, and so is
+        its zero extension; the sampled convolution is therefore the
+        product ``S_y · mask · S_xᵀ`` (``mask · S_xᵀ`` in 1-D), where row
+        ``i`` of ``S_x`` holds the fine samples of ``s_x`` that the mask
+        columns meet at coarse DP ``i`` (see :func:`_shifted_samples` and
+        DESIGN.md, *Manufactured solution*).  The mask itself need not be
+        separable, so every influence function works.
         """
         q = self.oversample
         grid = self.grid
@@ -158,34 +163,32 @@ class ManufacturedProblem:
         mask = fine_stencil.mask
         cell = fine_h if model.dim == 1 else fine_h * fine_h
 
+        S_x = _shifted_samples(grid.nx, q, fine_h, mask.shape[1])
+        centre_x = S_x[:, mask.shape[1] // 2]  # s_x at the coarse DPs
         if model.dim == 1:
-            xf = (np.arange(grid.nx * q) + 0.5) * fine_h
-            sf = _spatial_factor(xf[None, :], None, 1)
+            conv = mask @ S_x.T
+            local = centre_x[None, :]
         else:
-            xf = (np.arange(grid.nx * q) + 0.5) * fine_h
-            yf = (np.arange(grid.ny * q) + 0.5) * fine_h
-            Xf, Yf = np.meshgrid(xf, yf)
-            sf = _spatial_factor(Xf, Yf, 2)
-
-        # zero-extension outside D is native to 'same' convolution
-        conv = oaconvolve(sf, mask, mode="same")
+            S_y = _shifted_samples(grid.ny, q, fine_h, mask.shape[0])
+            conv = S_y @ mask @ S_x.T
+            local = np.outer(S_y[:, mask.shape[0] // 2], centre_x)
         ball_weight = fine_stencil.weight_sum  # counts only in-ball cells
-        integral_fine = cell * (conv - ball_weight * sf)
+        return model.c * (cell * (conv - ball_weight * local))
 
-        # sample the fine field at (the fine cells containing) coarse DPs
-        if q == 1:
-            sampled = integral_fine
-        else:
-            # coarse DP center (i+0.5)h lies in fine cell i*q + q//2 for
-            # even q (center between cells -> take lower) and exactly at
-            # the center of fine cell i*q + (q-1)//2 for odd q.
-            idx = (np.arange(grid.nx) * q + (q - 1) // 2)
-            if model.dim == 1:
-                sampled = integral_fine[:, idx]
-            else:
-                idy = (np.arange(grid.ny) * q + (q - 1) // 2)
-                sampled = integral_fine[np.ix_(idy, idx)]
-        return model.c * sampled
+
+def _shifted_samples(n: int, q: int, fine_h: float, width: int) -> np.ndarray:
+    """``S[i, m] = sin(2 pi x_j)`` for ``j = i q + (q-1)/2 - (m - width//2)``.
+
+    ``x_j = (j + 1/2) fine_h`` is the centre of fine cell ``j`` of the
+    ``n q`` cells along one axis, and ``S[i, m] = 0`` where ``j`` falls
+    outside ``D``.  Row ``i`` is the 1-D fine field a ``width``-wide mask,
+    centred on coarse DP ``i``, meets in a zero-padded ``same``
+    convolution: ``(mask ⊛ s)_i = sum_m mask[m] S[i, m]``.
+    """
+    centre = np.arange(n) * q + (q - 1) // 2
+    j = centre[:, None] - np.arange(width)[None, :] + width // 2
+    inside = (j >= 0) & (j < n * q)
+    return np.where(inside, _spatial_factor((j + 0.5) * fine_h, None, 1), 0.0)
 
 
 def step_error(grid: UniformGrid, numeric: np.ndarray,

@@ -17,9 +17,6 @@ name (default ``"auto"``: radius heuristic).  It exposes
 :meth:`~NonlocalOperator.apply` for the full grid and
 :meth:`~NonlocalOperator.apply_block` for SD-local application on a
 padded (ghost-augmented) block.
-
-:func:`assemble_sparse_operator` remains the slow, loop-based explicit
-matrix used in tests to cross-validate every backend entry by entry.
 """
 
 from __future__ import annotations
@@ -27,15 +24,13 @@ from __future__ import annotations
 from typing import Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..mesh.grid import UniformGrid
 from ..mesh.stencil import NonlocalStencil, build_stencil
 from .backends import KernelBackend, make_backend
 from .model import NonlocalHeatModel
 
-__all__ = ["NonlocalOperator", "assemble_sparse_operator",
-           "check_operator_matches", "stable_dt"]
+__all__ = ["NonlocalOperator", "check_operator_matches", "stable_dt"]
 
 
 def check_operator_matches(operator: "NonlocalOperator",
@@ -77,8 +72,8 @@ class NonlocalOperator:
         omitted.
     backend:
         Kernel backend choice: a registered name (``"direct"``,
-        ``"fft"``, ``"sparse"``), ``"auto"`` (radius heuristic, env
-        overridable — the default), or a prebuilt
+        ``"fft"``, ``"sparse"``), ``"auto"`` (radius heuristic — the
+        default), or a prebuilt
         :class:`repro.solver.backends.KernelBackend` instance.
     """
 
@@ -148,45 +143,6 @@ class NonlocalOperator:
         the simulated cluster so task costs track the actual kernel cost.
         """
         return 2.0 * self.stencil.num_neighbors
-
-
-def assemble_sparse_operator(model: NonlocalHeatModel,
-                             grid: UniformGrid) -> sp.csr_matrix:
-    """Explicit sparse matrix of ``L`` (reference implementation).
-
-    Row-major DP ordering (``idx = iy * nx + ix``).  O(N * stencil) memory
-    — for tests on small grids only.
-    """
-    stencil = build_stencil(grid.h, model.epsilon, model.influence,
-                            dim=model.dim)
-    ny, nx = grid.shape
-    R = stencil.radius
-    scale = model.c * grid.cell_volume
-    rows, cols, vals = [], [], []
-    mask = stencil.mask
-    mask_h = mask.shape[0]
-    for iy in range(ny):
-        for ix in range(nx):
-            i = iy * nx + ix
-            diag = 0.0
-            for my in range(mask_h):
-                dy = my - mask_h // 2
-                for mx in range(mask.shape[1]):
-                    dx = mx - R
-                    w = mask[my, mx]
-                    if w == 0.0:
-                        continue
-                    jy, jx = iy + dy, ix + dx
-                    diag -= w  # the -S u_i part, all neighbours count
-                    if 0 <= jy < ny and 0 <= jx < nx:
-                        rows.append(i)
-                        cols.append(jy * nx + jx)
-                        vals.append(scale * w)
-            rows.append(i)
-            cols.append(i)
-            vals.append(scale * diag)
-    n = grid.num_points
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def stable_dt(model: NonlocalHeatModel, grid: UniformGrid,

@@ -241,7 +241,7 @@ class TestReferenceOracle:
 
     def test_reference_matches_legacy_sparse_assembly(self):
         """The oracle agrees with the seed's loop-based sparse matrix."""
-        from repro.solver.kernel import assemble_sparse_operator
+        from oracles import assemble_sparse_operator
         grid = UniformGrid(10, 10)
         model = NonlocalHeatModel(epsilon=3 * grid.h)
         A = assemble_sparse_operator(model, grid)

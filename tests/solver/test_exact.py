@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mesh.grid import UniformGrid
 from repro.solver.exact import (ManufacturedProblem, interior_multiplier,
                                 step_error, total_error)
-from repro.solver.model import NonlocalHeatModel, linear_influence
+from repro.solver.model import (NonlocalHeatModel, constant_influence,
+                                gaussian_influence, linear_influence)
 from repro.solver.serial import solve_manufactured
+
+from oracles import continuum_integral_oaconvolve
 
 
 class TestExactFields:
@@ -73,6 +78,44 @@ class TestInteriorMultiplier:
         """The ball average of sin sin is below its center value."""
         model = NonlocalHeatModel(epsilon=0.05)
         assert interior_multiplier(model) < 0
+
+
+class TestSeparableSource:
+    """The separable product equals the convolution of the refined field."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([1, 2]),
+           nx=st.integers(3, 24), ny=st.integers(3, 24),
+           eps_factor=st.floats(1.0, 4.5),
+           oversample=st.integers(1, 6),
+           influence=st.sampled_from([constant_influence, linear_influence,
+                                      gaussian_influence]))
+    def test_matches_oaconvolve_oracle(self, dim, nx, ny, eps_factor,
+                                       oversample, influence):
+        grid = UniformGrid(nx, ny if dim == 2 else 1, dim=dim)
+        model = NonlocalHeatModel(epsilon=eps_factor * grid.h, dim=dim,
+                                  influence=influence)
+        prob = ManufacturedProblem(model, grid, oversample=oversample)
+        # even factors are rounded up to the next odd one
+        assert prob.oversample == oversample | 1
+        oracle = continuum_integral_oaconvolve(model, grid, prob.oversample)
+        assert prob._integral_of_space.shape == oracle.shape == grid.shape
+        # the field crosses zero inside D, so the tolerance is relative to
+        # the field's scale, not to each entry
+        np.testing.assert_allclose(prob._integral_of_space, oracle,
+                                   rtol=1e-12,
+                                   atol=1e-12 * np.abs(oracle).max())
+
+    def test_paper_resolution_matches_oracle(self):
+        """The paper's horizon (eps = 8h) and the default oversample 5,
+        on a non-square grid."""
+        grid = UniformGrid(128, 96)
+        model = NonlocalHeatModel(epsilon=8 * grid.h)
+        prob = ManufacturedProblem(model, grid, oversample=5)
+        oracle = continuum_integral_oaconvolve(model, grid, 5)
+        np.testing.assert_allclose(prob._integral_of_space, oracle,
+                                   rtol=1e-12,
+                                   atol=1e-12 * np.abs(oracle).max())
 
 
 class TestErrorNorms:

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from repro.mesh.grid import UniformGrid
 from repro.solver.backends import backend_names
-from repro.solver.kernel import (NonlocalOperator, assemble_sparse_operator,
-                                 stable_dt)
+from repro.solver.kernel import NonlocalOperator, stable_dt
 from repro.solver.model import NonlocalHeatModel, linear_influence
+
+from oracles import assemble_sparse_operator
 
 
 def make(nx=16, eps_factor=3, backend="auto", **kw):
