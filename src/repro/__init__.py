@@ -46,8 +46,7 @@ from .models import Crack, crack_work_factors
 from .partition import (block_partition, partition_graph, partition_sd_grid,
                         strip_partition)
 from .solver import (DistributedSolver, ManufacturedProblem,
-                     NonlocalHeatModel, SerialSolver, backend_names,
-                     solve_manufactured)
+                     NonlocalHeatModel, SerialSolver, backend_names)
 
 __version__ = "1.0.0"
 
@@ -61,7 +60,6 @@ __all__ = [
     "strip_partition",
     "DistributedSolver", "ManufacturedProblem",
     "NonlocalHeatModel", "SerialSolver", "backend_names",
-    "solve_manufactured",
     "MeshSpec", "ClusterSpec", "PartitionSpec", "PolicySpec",
     "ScenarioSpec", "TopologySpec", "RunRecord", "build_scenario",
     "run_scenario", "run_sweep", "scenario_names",

@@ -6,14 +6,13 @@ in-process, so AGAS reduces to a hierarchical name -> object registry with
 the same resolution semantics: globally unique symbolic paths such as
 ``/counters/node3/busy_time`` or ``/objects/sd/17``.
 
-The registry supports prefix queries (used by ``reset_all`` over all
-busy-time counters) and enforces single registration per name, which has
-caught real bookkeeping bugs in the load-balancer tests.
+The registry enforces single registration per name, which has caught
+real bookkeeping bugs in the load-balancer tests.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List
 
 __all__ = ["AddressSpace", "AgasError"]
 
@@ -25,9 +24,8 @@ class AgasError(KeyError):
 class AddressSpace:
     """Symbolic-name registry.
 
-    Names are ``/``-separated paths.  They are stored flat (no directory
-    objects); hierarchy exists only through prefix queries, which matches
-    how HPX's counter names behave.
+    Names are ``/``-separated paths, stored flat (no directory objects),
+    which matches how HPX's counter names behave.
     """
 
     def __init__(self) -> None:
@@ -50,14 +48,6 @@ class AddressSpace:
             raise AgasError(f"name already registered: {key}")
         self._entries[key] = obj
 
-    def unregister(self, name: str) -> Any:
-        """Remove and return the object bound to ``name``."""
-        key = self._normalize(name)
-        try:
-            return self._entries.pop(key)
-        except KeyError:
-            raise AgasError(f"unknown name: {key}") from None
-
     def resolve(self, name: str) -> Any:
         """Return the object bound to ``name``."""
         key = self._normalize(name)
@@ -65,26 +55,6 @@ class AddressSpace:
             return self._entries[key]
         except KeyError:
             raise AgasError(f"unknown name: {key}") from None
-
-    def contains(self, name: str) -> bool:
-        """Whether ``name`` is currently bound."""
-        try:
-            key = self._normalize(name)
-        except AgasError:
-            return False
-        return key in self._entries
-
-    def query(self, prefix: str) -> List[Tuple[str, Any]]:
-        """Return sorted ``(name, object)`` pairs under ``prefix``.
-
-        ``prefix`` matches whole path components: querying ``/counters``
-        returns ``/counters/node0/busy_time`` but not ``/countersX``.
-        """
-        key = self._normalize(prefix)
-        needle = key + "/"
-        hits = [(n, o) for n, o in self._entries.items()
-                if n == key or n.startswith(needle)]
-        return sorted(hits)
 
     def names(self) -> List[str]:
         """All registered names, sorted."""

@@ -525,17 +525,10 @@ class SimCluster:
         if len(speeds) != num_nodes:
             raise ValueError(f"need {num_nodes} speed traces, got {len(speeds)}")
         self.nodes: List[SimNode] = []
-        self._net_counters = []
         for i in range(num_nodes):
             counter = self.counters.create_busy_time(f"node{i}")
             self.nodes.append(SimNode(i, cores_per_node, speeds[i], counter,
                                       memory=memory))
-            # networking counters (the paper's future-work item): bytes
-            # crossing each node's NIC, resettable like busy_time
-            self._net_counters.append(
-                (self.counters.create(f"node{i}", "bytes_sent"),
-                 self.counters.create(f"node{i}", "bytes_received")))
-        self._window_start = 0.0
         #: called with each :class:`SimTask` that targets a dead node
         #: (set by the distributed solver after a failure); the handler
         #: must route the task to a live node via :meth:`resubmit`
@@ -619,9 +612,6 @@ class SimCluster:
         """Send ``payload`` from node ``src`` to ``dst``; future resolves on delivery."""
         self._node(src)
         self._node(dst)
-        if src != dst:
-            self._net_counters[src][0].add(nbytes)
-            self._net_counters[dst][1].add(nbytes)
         fut = Future()
         arrival = self.network.plan_send(src, dst, nbytes, self.sim.now)
         if arrival <= self.sim.now:
@@ -636,29 +626,22 @@ class SimCluster:
         """Issue ``(src, dst, nbytes)`` sends back-to-back; one future each.
 
         Semantically ``[self.send(src, dst, nbytes) for ...]`` — same
-        network planning, same counters, same delivery events in the
-        same order — with the per-message attribute lookups and
-        validation hoisted out of the loop.  This is the replay hot
-        path for compiled step plans: a 512-node ghost exchange issues
-        tens of thousands of messages per step at one virtual instant.
+        network planning, same delivery events in the same order —
+        with the per-message attribute lookups and validation hoisted
+        out of the loop.  This is the replay hot path for compiled step
+        plans: a 512-node ghost exchange issues tens of thousands of
+        messages per step at one virtual instant.
         """
         sim = self.sim
         now = sim.now
         schedule = sim.schedule
         plan_send = self.network.plan_send
-        net_counters = self._net_counters
         num_nodes = len(self.nodes)
         futures: List[Future] = []
         append = futures.append
         for src, dst, nbytes in messages:
             if src >= num_nodes or dst >= num_nodes or src < 0 or dst < 0:
                 raise SimulationError(f"unknown node in send {src}->{dst}")
-            if src != dst:
-                tx, rx = net_counters[src][0], net_counters[dst][1]
-                tx._window += nbytes
-                tx._lifetime += nbytes
-                rx._window += nbytes
-                rx._lifetime += nbytes
             fut = Future()
             arrival = plan_send(src, dst, nbytes, now)
             if arrival <= now:
@@ -757,7 +740,7 @@ class SimCluster:
         """Issue sends back-to-back; one barrier future for the batch.
 
         Semantically ``when_all(self.send_many(messages))`` — the
-        network planning, egress serialization and byte counters are
+        network planning, egress serialization and byte accounting are
         identical and happen eagerly in message order — but on the fast
         path only *one* delivery event is scheduled, at the latest
         arrival time, which is exactly when the barrier over the
@@ -778,18 +761,11 @@ class SimCluster:
         sim = self.sim
         now = sim.now
         plan_send = self.network.plan_send
-        net_counters = self._net_counters
         num_nodes = len(self.nodes)
         t_max = now
         for src, dst, nbytes in messages:
             if src >= num_nodes or dst >= num_nodes or src < 0 or dst < 0:
                 raise SimulationError(f"unknown node in send {src}->{dst}")
-            if src != dst:
-                tx, rx = net_counters[src][0], net_counters[dst][1]
-                tx._window += nbytes
-                tx._lifetime += nbytes
-                rx._window += nbytes
-                rx._lifetime += nbytes
             arrival = plan_send(src, dst, nbytes, now)
             if arrival > t_max:
                 t_max = arrival
@@ -813,9 +789,9 @@ class SimCluster:
                  trace: Optional[SpeedTrace] = None) -> int:
         """Provision a new node mid-simulation; returns its id.
 
-        The node starts alive, idle, and with fresh counters whose
-        measurement window begins now — its busy fraction is comparable
-        to the incumbents' from the next counter reset on.  Without an
+        The node starts alive, idle, and with a fresh busy-time counter
+        whose measurement window begins now — its busy fraction is
+        comparable to the incumbents' from the next counter reset on.  Without an
         explicit ``trace`` the joiner runs at the cluster's
         ``default_rate`` (the same default construction uses), so a
         joiner is never slower than the fleet by accident.
@@ -826,9 +802,6 @@ class SimCluster:
             trace = ConstantSpeed(self.default_rate)
         self.nodes.append(SimNode(i, cores, trace, counter,
                                   memory=self.memory))
-        self._net_counters.append(
-            (self.counters.create(f"node{i}", "bytes_sent"),
-             self.counters.create(f"node{i}", "bytes_received")))
         return i
 
     def fail_node(self, node_id: int) -> List[SimTask]:
@@ -938,32 +911,8 @@ class SimCluster:
             cursor.marks[i] = node.busy_marks
             cursor.values[i] = 0.0
 
-    def busy_fraction(self, node_id: int) -> float:
-        """Busy core-seconds / available core-seconds in the window."""
-        node = self._node(node_id)
-        span = (self.sim.now - self._window_start) * node.cores
-        if span <= 0:
-            return 0.0
-        return self.busy_time(node_id) / span
-
-    def idle_time(self, node_id: int) -> float:
-        """Available minus busy core-seconds in the current window."""
-        cores = self._node(node_id).cores
-        span = (self.sim.now - self._window_start) * cores
-        return max(0.0, span - self.busy_time(node_id))
-
-    def bytes_sent(self, node_id: int) -> float:
-        """Window bytes sent by ``node_id`` (networking counter)."""
-        self._node(node_id)
-        return self._net_counters[node_id][0].value()
-
-    def bytes_received(self, node_id: int) -> float:
-        """Window bytes received by ``node_id`` (networking counter)."""
-        self._node(node_id)
-        return self._net_counters[node_id][1].value()
-
     def reset_counters(self) -> None:
-        """Reset all counters (busy + networking); restart the window clock.
+        """Reset every node's busy-time counter.
 
         Passes the current virtual time so busy intervals that are open
         at the reset (in-flight tasks at a balance poll) are clipped at
@@ -974,7 +923,6 @@ class SimCluster:
         """
         self._revert()
         self.counters.reset_all(now=self.sim.now)
-        self._window_start = self.sim.now
         # windows changed under every cursor: any poll that skips the
         # rebase fast path must re-read (rebase_busy_cursor avoids the
         # O(nodes) re-read for callers that pair it with the reset)

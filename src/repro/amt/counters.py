@@ -10,7 +10,7 @@ over the same window.  This module provides:
 * :class:`BusyTimeCounter` — adds interval tracking so a node can mark
   ``begin_work``/``end_work`` spans; overlapping spans from multiple cores
   accumulate additively, mirroring HPX's per-thread aggregation.
-* :class:`CounterRegistry` — AGAS-backed lookup and the ``reset_all``
+* :class:`CounterRegistry` — AGAS registration and the ``reset_all``
   bulk operation.
 """
 
@@ -101,10 +101,6 @@ class BusyTimeCounter(Counter):
             raise ValueError(f"end_work at t={now} before begin at t={start}")
         self.add(now - start)
 
-    def open_intervals(self) -> int:
-        """Number of currently open work intervals (busy cores)."""
-        return len(self._open)
-
     def reset(self, now: Optional[float] = None) -> None:
         """Zero the window, clipping open intervals at ``now``.
 
@@ -138,81 +134,43 @@ class BusyTimeCounter(Counter):
 
 
 class CounterRegistry:
-    """Registry of named counters, resolvable through AGAS.
+    """Registry of named busy-time counters, resolvable through AGAS.
 
     Counter names follow the HPX convention
-    ``/counters/<locality>/<kind>`` (e.g. ``/counters/node2/busy_time``).
+    ``/counters/<locality>/busy_time`` (e.g. ``/counters/node2/busy_time``).
     """
 
     PREFIX = "/counters"
 
     def __init__(self, agas: Optional[AddressSpace] = None) -> None:
         self.agas = agas if agas is not None else AddressSpace()
-        # incremental kind index: the balancer resets all counters every
+        # creation-order index: the balancer resets all counters every
         # step (Algorithm 1 line 35), and an AGAS prefix scan with a
         # name split per counter is O(total counters x name length) per
         # poll — noticeable at 512+ nodes.  Counters created through the
-        # registry are indexed here at creation instead.
-        self._by_kind: Dict[str, List[Counter]] = {}
-
-    def _name(self, locality: str, kind: str) -> str:
-        return f"{self.PREFIX}/{locality}/{kind}"
-
-    def _register(self, counter: Counter, kind: str) -> None:
-        self.agas.register(counter.name, counter)  # raises on duplicates
-        self._by_kind.setdefault(kind, []).append(counter)
+        # registry are listed here at creation instead.
+        self._counters: List[Counter] = []
 
     def create_busy_time(self, locality: str) -> BusyTimeCounter:
         """Create and register the busy-time counter for ``locality``."""
-        counter = BusyTimeCounter(self._name(locality, BUSY_TIME))
-        self._register(counter, BUSY_TIME)
+        counter = BusyTimeCounter(f"{self.PREFIX}/{locality}/{BUSY_TIME}")
+        self.agas.register(counter.name, counter)  # raises on duplicates
+        self._counters.append(counter)
         return counter
 
-    def create(self, locality: str, kind: str) -> Counter:
-        """Create and register a generic counter."""
-        counter = Counter(self._name(locality, kind))
-        self._register(counter, kind)
-        return counter
-
-    def get(self, locality: str, kind: str) -> Counter:
-        """Resolve a counter; raises ``AgasError`` if missing."""
-        return self.agas.resolve(self._name(locality, kind))
-
-    def busy_time(self, locality: str) -> float:
-        """Window busy time for ``locality`` (convenience accessor)."""
-        return self.get(locality, BUSY_TIME).value()
-
-    def all_of_kind(self, kind: str) -> List[Counter]:
-        """All registry-created counters of ``kind``, in creation order.
-
-        Creation order is node-id order everywhere counters are made
-        (``node0``, ``node1``, …, ``node10``, …).  A name sort would put
-        ``node10`` before ``node2`` once a cluster reaches ten nodes,
-        silently misaligning any per-node listing built from it.
-        """
-        return list(self._by_kind.get(kind, ()))
-
-    def reset_all(self, kind: Optional[str] = None,
-                  now: Optional[float] = None) -> int:
-        """Reset every counter (optionally only of ``kind``); return count.
+    def reset_all(self, now: Optional[float] = None) -> int:
+        """Reset every counter, in creation order; return the count.
 
         This is Algorithm 1 line 35:
-        ``reset_all(hpx::performance_counters::busy_time)``.  Uses the
-        incremental kind index rather than an AGAS prefix scan, so the
-        per-step reset is O(counters of the kind) with no name parsing.
+        ``reset_all(hpx::performance_counters::busy_time)``.  Walks the
+        creation-order list rather than an AGAS prefix scan, so the
+        per-step reset is O(counters) with no name parsing.
 
         ``now`` is the virtual time the new measurement window starts
         at; busy-time counters use it to clip work intervals that are
         open at the reset (see :meth:`BusyTimeCounter.reset`) and it is
         required when any interval is open.
         """
-        count = 0
-        if kind is not None:
-            kinds = (kind,)
-        else:
-            kinds = tuple(self._by_kind)
-        for k in kinds:
-            for counter in self._by_kind.get(k, ()):
-                counter.reset(now)
-                count += 1
-        return count
+        for counter in self._counters:
+            counter.reset(now)
+        return len(self._counters)

@@ -196,12 +196,6 @@ class FaultSchedule(Codec):
         return self.initial_nodes + sum(
             1 for e in self.events if e.kind == "join")
 
-    def joins(self) -> List[ChurnEvent]:
-        return [e for e in self.events if e.kind == "join"]
-
-    def fails(self) -> List[ChurnEvent]:
-        return [e for e in self.events if e.kind == "fail"]
-
     def straggles_of(self, node: int) -> List[ChurnEvent]:
         """Straggle windows targeting ``node``, in time order."""
         return [e for e in self.events

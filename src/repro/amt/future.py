@@ -6,8 +6,7 @@ provides the Python analogue the simulated cluster
 (:mod:`repro.amt.cluster`) hands out:
 
 * :class:`Future` — a single-assignment value: :meth:`Future.get` returns
-  the value (or raises the stored exception) and :meth:`Future.then`
-  attaches continuations;
+  the value (or raises the stored exception);
 * :func:`when_all` — the barrier, mirroring ``hpx::when_all``.
 
 Every future is resolved from the one thread that drives the
@@ -102,25 +101,6 @@ class Future:
             assert self._exception is not None
             raise self._exception
         return self._value
-
-    # -- continuations ---------------------------------------------------
-    def then(self, fn: Callable[["Future"], Any]) -> "Future":
-        """Attach a continuation; returns a future for ``fn(self)``.
-
-        The continuation runs synchronously when this future resolves
-        (or immediately if already ready), matching HPX's default
-        ``launch::sync`` continuation policy for lightweight work.
-        """
-        out = Future()
-
-        def runner(done: "Future") -> None:
-            try:
-                out._set_value(fn(done))
-            except BaseException as exc:  # noqa: BLE001 - forwarded to future
-                out._set_exception(exc)
-
-        self._add_callback(runner)
-        return out
 
     def _add_callback(self, cb: Callable[["Future"], None]) -> None:
         global _active_group

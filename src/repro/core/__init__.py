@@ -13,8 +13,8 @@
 
 from .policy import (BalancePolicy, IntervalPolicy, NeverBalance,
                      ThresholdPolicy)
-from .power import (compute_power, expected_sds, imbalance_ratio, integer_targets,
-                    load_imbalance)
+from .power import (compute_power, expected_sds, imbalance_ratio,
+                    integer_targets)
 from .strategies import (BalanceEvent, BalanceResult, BalanceStrategy,
                          is_uniform_work, make_strategy, strategy_names)
 from .transfer import (TransferPlan, apply_transfers,
@@ -25,7 +25,7 @@ __all__ = [
     "BalanceEvent", "BalanceResult", "BalanceStrategy", "is_uniform_work",
     "make_strategy", "strategy_names",
     "BalancePolicy", "IntervalPolicy", "NeverBalance", "ThresholdPolicy",
-    "compute_power", "expected_sds", "imbalance_ratio", "integer_targets", "load_imbalance",
+    "compute_power", "expected_sds", "imbalance_ratio", "integer_targets",
     "TransferPlan", "apply_transfers", "naive_select_transfers",
     "select_transfers",
     "DependencyTree", "build_dependency_tree", "topological_order",

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["compute_power", "expected_sds", "load_imbalance",
+__all__ = ["compute_power", "expected_sds",
            "imbalance_ratio", "integer_targets"]
 
 
@@ -72,19 +72,6 @@ def expected_sds(total_sds: float, power: Sequence[float]) -> np.ndarray:
     if np.any(power <= 0):
         raise ValueError("power values must be positive")
     return total_sds * power / power.sum()
-
-
-def load_imbalance(sd_counts: Sequence[float],
-                   busy_times: Sequence[float],
-                   work_per_sd: Optional[Sequence[float]] = None) -> np.ndarray:
-    """Eq. (9): ``E(N_i) - SD(N_i)`` for every node.
-
-    The array sums to ~0 by construction (up to float rounding): SDs are
-    only moved, never created.
-    """
-    sds = np.asarray(sd_counts, dtype=np.float64)
-    power = compute_power(sds, busy_times, work_per_sd=work_per_sd)
-    return expected_sds(float(sds.sum()), power) - sds
 
 
 def integer_targets(expected: Sequence[float]) -> np.ndarray:

@@ -47,10 +47,6 @@ class DependencyTree:
             out.append(self.parent[n])
         return sorted(out)
 
-    def contains(self, n: int) -> bool:
-        """Whether ``n`` is reachable from the root."""
-        return n == self.root or self.parent[n] >= 0
-
 
 def build_dependency_tree(num_nodes: int,
                           adjacency: Sequence[Tuple[int, int]],

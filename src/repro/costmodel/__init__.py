@@ -12,8 +12,7 @@ from .base import CostModel, WorkItem
 from .flat import FLAT, FlatCostModel
 from .hierarchy import (DEFAULT_HIERARCHY, HierarchyCostModel,
                         MemoryHierarchy, MemoryLevel, REFERENCE_RATE)
-from .profiler import (ReuseProfile, clear_profile_cache,
-                       profile_cache_info, reuse_profile)
+from .profiler import ReuseProfile, reuse_profile
 from .registry import (AUTO, DEFAULT, cost_model_names,
                        get_cost_model_class, make_cost_model,
                        register_cost_model)
@@ -23,8 +22,7 @@ __all__ = [
     "FLAT", "FlatCostModel",
     "MemoryLevel", "MemoryHierarchy", "DEFAULT_HIERARCHY",
     "HierarchyCostModel", "REFERENCE_RATE",
-    "ReuseProfile", "reuse_profile", "profile_cache_info",
-    "clear_profile_cache",
+    "ReuseProfile", "reuse_profile",
     "AUTO", "DEFAULT", "register_cost_model", "cost_model_names",
     "get_cost_model_class", "make_cost_model",
 ]

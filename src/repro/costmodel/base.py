@@ -15,9 +15,6 @@ the simulator's bit-identical-schedule contract:
   seed arithmetic in the same left-to-right order, so a flat-model run
   is bit-identical to the pre-refactor simulator (the parity tests pin
   this against the goldens).
-
-``task_time`` is the derived seconds-level interface: resolve the work,
-then let the node's speed trace integrate it.
 """
 
 from __future__ import annotations
@@ -68,19 +65,6 @@ class CostModel:
     def task_work(self, item: WorkItem) -> float:
         """Work units (DP-update flops) the item costs on any node."""
         raise NotImplementedError
-
-    def task_time(self, item: WorkItem, node, t0: float = 0.0) -> float:
-        """Virtual seconds the item takes on ``node`` starting at ``t0``.
-
-        ``node`` is anything with a ``trace`` speed model (a
-        :class:`repro.amt.cluster.SimNode`) or a bare rate in
-        work-units per second.
-        """
-        work = self.task_work(item)
-        trace = getattr(node, "trace", None)
-        if trace is not None:
-            return trace.time_to_complete(work, t0)
-        return work / float(node)
 
     def work_scale(self, item: WorkItem) -> float:
         """This model's work relative to the flat model for ``item``.

@@ -45,8 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
-__all__ = ["ReuseProfile", "reuse_profile", "profile_cache_info",
-           "clear_profile_cache"]
+__all__ = ["ReuseProfile", "reuse_profile"]
 
 
 @dataclass(frozen=True)
@@ -120,12 +119,3 @@ def reuse_profile(backend: str, rows: int, cols: int,
     return ReuseProfile(backend=backend, rows=int(rows), cols=int(cols),
                         radius=int(radius), accesses_per_dp=float(accesses),
                         distances=distances)
-
-
-def profile_cache_info():
-    """``functools`` cache statistics of the profile cache."""
-    return reuse_profile.cache_info()
-
-
-def clear_profile_cache() -> None:
-    reuse_profile.cache_clear()

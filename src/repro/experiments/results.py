@@ -180,13 +180,6 @@ class RunRecord:
     def from_dict(cls, d: Dict[str, Any]) -> "RunRecord":
         return cls(**d)
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunRecord":
-        return cls.from_dict(json.loads(text))
-
 
 def _json_chunks(value: Any, level: int) -> Iterable[str]:
     """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives,

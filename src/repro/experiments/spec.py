@@ -671,10 +671,6 @@ class PolicySpec(Codec):
                  f"unknown balancing strategy {self.balancer!r}; "
                  f"expected 'auto' or one of {tuple(strategy_names())}")
 
-    @property
-    def enabled(self) -> bool:
-        return self.kind != "never"
-
     def build(self):
         """The :class:`BalancePolicy`, or ``None`` when balancing is off."""
         from ..core.policy import IntervalPolicy, ThresholdPolicy

@@ -111,23 +111,6 @@ class Decomposition:
         """Node owning SD ``sd``."""
         return int(self.parts[sd])
 
-    def sds_of_node(self, node: int) -> List[int]:
-        """Sorted SD ids in ``node``'s SP."""
-        return [int(s) for s in np.nonzero(self.parts == node)[0]]
-
-    def sp_sizes(self) -> np.ndarray:
-        """SD count per node — the balancer's ``NumSubDomains`` array."""
-        out = np.zeros(self.num_nodes, dtype=np.int64)
-        np.add.at(out, self.parts, 1)
-        return out
-
-    def dp_counts_per_node(self) -> np.ndarray:
-        """DP count per node (work proxy when SDs are unevenly sized)."""
-        out = np.zeros(self.num_nodes, dtype=np.int64)
-        for sd in range(self.sd_grid.num_subdomains):
-            out[self.owner(sd)] += self.sd_grid.dp_count(sd)
-        return out
-
     # -- communication ---------------------------------------------------------
     def ghost_messages(self, radius: int) -> List[GhostMessage]:
         """All cross-node ghost transfers for stencil ``radius``.
@@ -200,12 +183,3 @@ class Decomposition:
                 mask[y0 - rect.y0:y1 - rect.y0,
                      x0 - rect.x0:x1 - rect.x0] = True
         return CaseSplit(sd, mask)
-
-    def case_counts(self, radius: int) -> Tuple[int, int]:
-        """Total (case1, case2) DP counts over the whole mesh."""
-        c1 = c2 = 0
-        for sd in range(self.sd_grid.num_subdomains):
-            split = self.case_split(sd, radius)
-            c1 += split.case1_count
-            c2 += split.case2_count
-        return c1, c2

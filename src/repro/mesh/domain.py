@@ -82,10 +82,6 @@ class DomainMask:
             lambda x, y: (x - cx0) ** 2 + (y - cy0) ** 2 <= radius ** 2)
 
     # -- queries -----------------------------------------------------------
-    @property
-    def num_active(self) -> int:
-        """Number of physical SDs."""
-        return int(self.active.sum())
 
     def active_sds(self) -> List[int]:
         """Sorted active SD ids."""

@@ -97,20 +97,5 @@ class UniformGrid:
         X, Y = self.meshgrid()
         return np.asarray(fn(X, Y))
 
-    def boundary_distance(self) -> np.ndarray:
-        """Distance of each DP to the boundary of D, shape ``(ny, nx)``.
-
-        Used by the manufactured-solution source to decide which points
-        need the near-boundary quadrature correction (their eps-ball
-        pokes into Dc).
-        """
-        x = self.x_coords()
-        dx = np.minimum(x, self.Lx - x)
-        if self.dim == 1:
-            return dx[None, :]
-        y = self.y_coords()
-        dy = np.minimum(y, self.Ly - y)
-        return np.minimum(dx[None, :], dy[:, None])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<UniformGrid {self.nx}x{self.ny} h={self.h:.4g} dim={self.dim}>"

@@ -54,10 +54,6 @@ class NonlocalStencil:
         """Number of interacting DPs in the ball (non-zero mask entries)."""
         return int(np.count_nonzero(self.mask))
 
-    def mask_1d(self) -> np.ndarray:
-        """The central row of the mask — the 1-D model's stencil."""
-        return self.mask[self.mask.shape[0] // 2, :].copy()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<NonlocalStencil R={self.radius} "
                 f"neighbors={self.num_neighbors} S={self.weight_sum:.4g}>")

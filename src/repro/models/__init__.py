@@ -3,12 +3,9 @@ paper's balancer corrects: crack geometry (:mod:`repro.models.crack`) and
 time-varying node capacity (:mod:`repro.models.workload`)."""
 
 from .crack import Crack, crack_work_factors
-from .workload import (drift_ramp, heterogeneous_constant,
-                       random_interference, staircase_degradation,
-                       step_interference)
+from .workload import drift_ramp, step_interference
 
 __all__ = [
     "Crack", "crack_work_factors",
-    "drift_ramp", "heterogeneous_constant", "random_interference",
-    "staircase_degradation", "step_interference",
+    "drift_ramp", "step_interference",
 ]

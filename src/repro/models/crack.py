@@ -82,11 +82,6 @@ class Crack:
                    for q1, q2 in self.segments)
 
     @classmethod
-    def horizontal(cls, y: float, x0: float = 0.0, x1: float = 1.0) -> "Crack":
-        """A horizontal crack at height ``y`` spanning ``[x0, x1]``."""
-        return cls([(x0, y), (x1, y)])
-
-    @classmethod
     def diagonal(cls) -> "Crack":
         """The unit-square diagonal (a worst-case asymmetric crack)."""
         return cls([(0.0, 0.0), (1.0, 1.0)])

@@ -3,32 +3,22 @@
 "Compute capacity of the individual computational nodes may vary with
 time, either due to scheduling of some other task or due to the
 intrinsic behaviour of the nonlocal model."  These factories build
-:class:`repro.amt.cluster.PiecewiseSpeed` traces modelling the external
+:class:`repro.amt.cluster.SpeedTrace` instances modelling the external
 interference case:
 
 * :func:`step_interference` — a competing job lands on the node for a
   window, halving (configurably) its rate;
-* :func:`staircase_degradation` — capacity decays in steps (e.g. thermal
-  throttling);
-* :func:`random_interference` — seeded random on/off interference
-  windows, for stress tests.
+* :func:`drift_ramp` — capacity drifts linearly from one rate to
+  another over a window.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import List, Sequence
 
 from ..amt.cluster import ConstantSpeed, PiecewiseSpeed, RampSpeed, SpeedTrace
 
-__all__ = ["step_interference", "staircase_degradation",
-           "random_interference", "heterogeneous_constant", "drift_ramp"]
-
-
-def heterogeneous_constant(rates: Sequence[float]) -> List[SpeedTrace]:
-    """Constant-but-unequal node speeds (static heterogeneity)."""
-    return [ConstantSpeed(r) for r in rates]
+__all__ = ["step_interference", "drift_ramp"]
 
 
 def drift_ramp(rates_start: Sequence[float], rates_end: Sequence[float],
@@ -62,42 +52,3 @@ def step_interference(base_rate: float, start: float, stop: float,
         return PiecewiseSpeed([stop], [base_rate * slowdown, base_rate])
     return PiecewiseSpeed([start, stop],
                           [base_rate, base_rate * slowdown, base_rate])
-
-
-def staircase_degradation(base_rate: float, step_times: Sequence[float],
-                          decay: float = 0.8) -> SpeedTrace:
-    """Rate multiplies by ``decay`` at each time in ``step_times``."""
-    if not 0 < decay < 1:
-        raise ValueError(f"decay must be in (0,1), got {decay}")
-    times = sorted(float(t) for t in step_times)
-    if not times:
-        return ConstantSpeed(base_rate)
-    rates = [base_rate * decay ** i for i in range(len(times) + 1)]
-    return PiecewiseSpeed(times, rates)
-
-
-def random_interference(base_rate: float, horizon: float,
-                        num_windows: int, slowdown: float = 0.5,
-                        seed: Optional[int] = 0) -> SpeedTrace:
-    """Seeded random interference windows over ``[0, horizon]``.
-
-    ``num_windows`` disjoint slowdown windows with random positions and
-    widths; deterministic for a fixed seed so simulated schedules remain
-    reproducible.
-    """
-    if num_windows < 1:
-        return ConstantSpeed(base_rate)
-    if not 0 < slowdown <= 1:
-        raise ValueError(f"slowdown must be in (0,1], got {slowdown}")
-    rng = np.random.default_rng(seed)
-    # draw 2*num_windows distinct breakpoints, sorted: [on, off, on, off..]
-    cuts = np.sort(rng.uniform(0.0, horizon, size=2 * num_windows))
-    # enforce strict monotonicity (PiecewiseSpeed requirement)
-    for i in range(1, len(cuts)):
-        if cuts[i] <= cuts[i - 1]:
-            cuts[i] = np.nextafter(cuts[i - 1], np.inf)
-    rates = []
-    for i in range(len(cuts) + 1):
-        inside_window = i % 2 == 1
-        rates.append(base_rate * (slowdown if inside_window else 1.0))
-    return PiecewiseSpeed(list(cuts), rates)

@@ -16,9 +16,9 @@ from .geometric import (block_partition, grid_blocks_for_k,
 from .graph import Graph, graph_from_edges, grid_dual_graph
 from .initial import best_bisection, grow_bisection, pseudo_peripheral_vertex
 from .kway import multilevel_bisection, partition_graph, partition_sd_grid
-from .metrics import (PartitionReport, boundary_vertices, edge_cut,
-                      evaluate_partition, imbalance, num_parts_used,
-                      part_weights, parts_are_contiguous)
+from .metrics import (PartitionReport, edge_cut, evaluate_partition,
+                      imbalance, num_parts_used, part_weights,
+                      parts_are_contiguous)
 from .placement import (apply_placement, part_affinity, rack_aware_mapping,
                         scattered_mapping)
 from .refine import compute_gains, fm_refine_bisection
@@ -31,7 +31,7 @@ __all__ = [
     "Graph", "graph_from_edges", "grid_dual_graph",
     "best_bisection", "grow_bisection", "pseudo_peripheral_vertex",
     "multilevel_bisection", "partition_graph", "partition_sd_grid",
-    "PartitionReport", "boundary_vertices", "edge_cut",
+    "PartitionReport", "edge_cut",
     "evaluate_partition", "imbalance", "num_parts_used",
     "part_weights", "parts_are_contiguous",
     "apply_placement", "part_affinity", "rack_aware_mapping",

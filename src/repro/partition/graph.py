@@ -73,11 +73,6 @@ class Graph:
         """Number of vertices."""
         return len(self.xadj) - 1
 
-    @property
-    def num_edges(self) -> int:
-        """Number of undirected edges."""
-        return len(self.adjncy) // 2
-
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbour ids of vertex ``v`` (CSR slice view)."""
         return self.adjncy[self.xadj[v]:self.xadj[v + 1]]
@@ -93,23 +88,6 @@ class Graph:
     def total_vertex_weight(self) -> float:
         """Sum of all vertex weights."""
         return float(self.vwgt.sum())
-
-    def validate(self) -> None:
-        """Check structural invariants (symmetry, no self-loops).
-
-        Raises ``ValueError`` on violation.  O(E log E); intended for
-        tests and for validating externally constructed graphs.
-        """
-        n = self.num_vertices
-        fwd = set()
-        for v in range(n):
-            for u in self.neighbors(v):
-                if u == v:
-                    raise ValueError(f"self-loop at vertex {v}")
-                fwd.add((v, int(u)))
-        for (v, u) in fwd:
-            if (u, v) not in fwd:
-                raise ValueError(f"edge ({v},{u}) has no reverse")
 
     def connected_components(self) -> np.ndarray:
         """Label vertices by connected component (BFS); int64 array."""

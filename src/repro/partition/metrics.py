@@ -10,14 +10,12 @@ benchmarks.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 import numpy as np
 
 from .graph import Graph
 
 __all__ = ["edge_cut", "part_weights", "imbalance", "num_parts_used",
-           "parts_are_contiguous", "boundary_vertices", "PartitionReport",
+           "parts_are_contiguous", "PartitionReport",
            "evaluate_partition"]
 
 
@@ -88,20 +86,6 @@ def parts_are_contiguous(graph: Graph, parts: np.ndarray) -> bool:
     return True
 
 
-def boundary_vertices(graph: Graph, parts: np.ndarray) -> np.ndarray:
-    """Vertices with at least one neighbour in a different part.
-
-    These are the SDs that must exchange ghost data across nodes —
-    exactly the paper's "Case 1" SDs.
-    """
-    parts = _check(graph, parts)
-    out: List[int] = []
-    for v in range(graph.num_vertices):
-        if np.any(parts[graph.neighbors(v)] != parts[v]):
-            out.append(v)
-    return np.asarray(out, dtype=np.int64)
-
-
 class PartitionReport:
     """Bundle of quality metrics for one partition (see :func:`evaluate_partition`)."""
 
@@ -114,16 +98,6 @@ class PartitionReport:
         self.contiguous = contiguous
         self.parts_used = parts_used
         self.weights = weights
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict view for table rendering."""
-        return {
-            "k": self.k,
-            "edge_cut": self.cut,
-            "imbalance": self.imbalance,
-            "contiguous": self.contiguous,
-            "parts_used": self.parts_used,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<PartitionReport k={self.k} cut={self.cut:.3g} "

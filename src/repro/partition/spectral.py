@@ -7,30 +7,29 @@ quality bar Karypis & Kumar compared METIS against), so having one in
 the library lets the ablation quantify the multilevel scheme against a
 structurally different algorithm, not just geometric heuristics.
 
-Implementation notes: the Laplacian is assembled sparse; the Fiedler
-vector comes from ``scipy.sparse.linalg.eigsh`` with a deflation shift,
-falling back to dense ``eigh`` for small or ill-conditioned graphs.
-K-way is recursive bisection, like the multilevel driver.  Only this
-method needs ``scipy.sparse``, so the functions that use it import it:
-runs that partition otherwise never load it.
+Implementation notes: the Laplacian is assembled from CSR triplets.
+Graphs of at most 64 vertices take it dense into ``eigh``; larger ones
+take it sparse into ``scipy.sparse.linalg.eigsh`` with a deflation shift,
+falling back to dense ``eigh`` for ill-conditioned graphs.  K-way is
+recursive bisection, like the multilevel driver.  Only the large-graph
+path needs ``scipy.sparse``, so it imports it there: other runs never
+load it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import List, Tuple
 
 import numpy as np
 
 from .graph import Graph, graph_from_edges
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 __all__ = ["fiedler_vector", "spectral_bisection", "spectral_partition"]
 
 
-def _laplacian(graph: Graph) -> sp.csr_matrix:
-    import scipy.sparse as sp
+def _laplacian_triplets(
+        graph: Graph) -> Tuple[List[int], List[int], List[float]]:
+    """``(rows, cols, vals)`` of the weighted graph Laplacian."""
     n = graph.num_vertices
     rows, cols, vals = [], [], []
     for v in range(n):
@@ -43,7 +42,7 @@ def _laplacian(graph: Graph) -> sp.csr_matrix:
         rows.append(v)
         cols.append(v)
         vals.append(deg)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return rows, cols, vals
 
 
 def fiedler_vector(graph: Graph) -> np.ndarray:
@@ -56,11 +55,15 @@ def fiedler_vector(graph: Graph) -> np.ndarray:
     n = graph.num_vertices
     if n < 2:
         raise ValueError("need at least two vertices")
-    L = _laplacian(graph)
+    rows, cols, vals = _laplacian_triplets(graph)
     if n <= 64:
-        vals, vecs = np.linalg.eigh(L.toarray())
-        return vecs[:, 1]
+        # duplicates sum, as in the sparse assembly
+        dense = np.zeros((n, n))
+        np.add.at(dense, (rows, cols), vals)
+        return np.linalg.eigh(dense)[1][:, 1]
+    import scipy.sparse as sp
     from scipy.sparse.linalg import eigsh
+    L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     try:
         # shift-invert around 0 finds the smallest eigenvalues quickly
         vals, vecs = eigsh(L, k=2, sigma=-1e-8, which="LM")

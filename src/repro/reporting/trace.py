@@ -89,12 +89,6 @@ class TraceRecorder:
         cluster._dispatch = dispatch  # type: ignore[method-assign]
         cluster._complete = complete  # type: ignore[method-assign]
 
-    def intervals_of_node(self, node_id: int) -> List[TaskInterval]:
-        """This node's intervals, in start order."""
-        out = [iv for iv in self.intervals if iv.node_id == node_id]
-        out.sort(key=lambda iv: iv.start)
-        return out
-
 
 def render_gantt(intervals: Sequence[TaskInterval], makespan: float,
                  width: int = 72, num_nodes: Optional[int] = None,

@@ -288,15 +288,6 @@ class ServiceSpec(Codec):
         like ``ScenarioSpec.solver`` selects serial vs distributed."""
         return "service"
 
-    @property
-    def total_weight(self) -> float:
-        return sum(t.weight for t in self.tenants)
-
-    def tenant_rate(self, index: int) -> float:
-        """Tenant ``index``'s share of the aggregate arrival rate."""
-        return self.arrival.rate * (self.tenants[index].weight
-                                    / self.total_weight)
-
     def replace(self, **changes: Any) -> "ServiceSpec":
         """A copy with ``changes`` applied (re-validated)."""
         return replace(self, **changes)

@@ -59,9 +59,11 @@ class EventLog:
 
     Parallel arrays hold one entry per event: ``kind`` (byte code),
     ``t`` (float64), ``tenant`` (index into the tenant-name table) and
-    ``job``; kind-specific extras (queue ``depth`` for sheds, ``wait``
-    for starts, ``wait``/``makespan``/``service`` for finishes) ride in
-    a per-event tuple.  Indexing and iteration materialize the exact
+    ``job``; kind-specific extras ride in one more column: ``None`` for
+    arrivals, a shed's queue ``depth`` as the plain int (sheds are most
+    events under overload, and a small int allocates nothing), a tuple
+    for starts (``wait``) and finishes (``wait``/``makespan``/
+    ``service``).  Indexing and iteration materialize the exact
     dicts the per-dict path appended, so the log compares equal to (and
     serializes as) the historical list-of-dicts stream.
     """
@@ -89,7 +91,7 @@ class EventLog:
         self._t.append(t)
         self._tenant.append(tenant)
         self._job.append(job)
-        self._extra.append((depth,))
+        self._extra.append(depth)
 
     def start(self, t: float, tenant: int, job: int, wait: float) -> None:
         self._kind.append(_START)
@@ -114,7 +116,7 @@ class EventLog:
                              "job": self._job[i]}
         extra = self._extra[i]
         if kind == _SHED:
-            e["depth"] = extra[0]
+            e["depth"] = extra
         elif kind == _START:
             e["wait"] = extra[0]
         elif kind == _FINISH:
@@ -187,9 +189,8 @@ class EventLog:
                 if kind == _ARRIVAL:
                     append(arrival % (job, t, names[tenant]))
                 elif kind == _SHED:
-                    depth = extra[0]
-                    append(shed % (depth if type(depth) is int
-                                   else num(depth), job, t, names[tenant]))
+                    append(shed % (extra if type(extra) is int
+                                   else num(extra), job, t, names[tenant]))
                 elif kind == _START:
                     append(start % (job, t, names[tenant], num(extra[0])))
                 else:

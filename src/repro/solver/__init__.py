@@ -23,7 +23,7 @@ from .exact import (ManufacturedProblem, interior_multiplier, step_error,
 from .kernel import NonlocalOperator, stable_dt
 from .model import (InfluenceFunction, NonlocalHeatModel, constant_influence,
                     gaussian_influence, influence_moment, linear_influence)
-from .serial import SerialSolver, SolveResult, solve_manufactured
+from .serial import SerialSolver, SolveResult
 
 __all__ = [
     "KernelBackend", "apply_operator_reference", "auto_backend_name",
@@ -33,5 +33,5 @@ __all__ = [
     "NonlocalOperator", "stable_dt",
     "InfluenceFunction", "NonlocalHeatModel", "constant_influence",
     "gaussian_influence", "influence_moment", "linear_influence",
-    "SerialSolver", "SolveResult", "solve_manufactured",
+    "SerialSolver", "SolveResult",
 ]

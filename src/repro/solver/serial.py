@@ -14,11 +14,11 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..mesh.grid import UniformGrid
-from .exact import ManufacturedProblem, step_error
+from .exact import step_error
 from .kernel import NonlocalOperator, check_operator_matches, stable_dt
 from .model import NonlocalHeatModel
 
-__all__ = ["SerialSolver", "SolveResult", "solve_manufactured"]
+__all__ = ["SerialSolver", "SolveResult"]
 
 
 class SolveResult:
@@ -118,22 +118,3 @@ class SerialSolver:
             if exact is not None:
                 errors.append(step_error(self.grid, u, exact(t)))
         return SolveResult(u, times, errors)
-
-
-def solve_manufactured(nx: int, eps_factor: float = 8.0,
-                       num_steps: int = 20,
-                       dt: Optional[float] = None,
-                       source_mode: str = "continuum",
-                       dim: int = 2) -> SolveResult:
-    """Convenience driver for the validation study (paper Fig. 8).
-
-    Builds the manufactured problem on an ``nx × nx`` grid (``nx × 1`` in
-    1-D) with ``eps = eps_factor * h``, integrates ``num_steps`` steps,
-    and returns the result with per-step errors attached.
-    """
-    grid = UniformGrid(nx, nx if dim == 2 else 1, dim=dim)
-    model = NonlocalHeatModel(epsilon=eps_factor * grid.h, dim=dim)
-    problem = ManufacturedProblem(model, grid, source_mode=source_mode)
-    solver = SerialSolver(model, grid, source=problem.source, dt=dt)
-    return solver.run(problem.initial_condition(), num_steps,
-                      exact=problem.exact)

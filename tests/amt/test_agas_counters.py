@@ -3,8 +3,7 @@
 import pytest
 
 from repro.amt.agas import AddressSpace, AgasError
-from repro.amt.counters import (BUSY_TIME, BusyTimeCounter, Counter,
-                                CounterRegistry)
+from repro.amt.counters import BusyTimeCounter, Counter, CounterRegistry
 
 
 class TestAddressSpace:
@@ -33,36 +32,23 @@ class TestAddressSpace:
         agas.register("//a///b/", "v")
         assert agas.resolve("/a/b") == "v"
 
-    def test_unregister_returns_object(self):
+    def test_resolve_normalizes_the_query(self):
         agas = AddressSpace()
-        agas.register("/a", 5)
-        assert agas.unregister("/a") == 5
-        assert not agas.contains("/a")
+        agas.register("/a/b", "v")
+        assert agas.resolve("//a/b/") == "v"
 
-    def test_unregister_unknown_raises(self):
-        with pytest.raises(AgasError):
-            AddressSpace().unregister("/a")
-
-    def test_contains(self):
+    def test_names_collide_after_normalization(self):
         agas = AddressSpace()
         agas.register("/a/b", 1)
-        assert agas.contains("/a/b")
-        assert not agas.contains("/a/c")
-        assert not agas.contains("not-a-path")
+        with pytest.raises(AgasError, match="already registered"):
+            agas.register("//a//b/", 2)
 
-    def test_query_prefix_matches_whole_components(self):
-        agas = AddressSpace()
-        agas.register("/counters/node0/busy_time", 1)
-        agas.register("/counters/node1/busy_time", 2)
-        agas.register("/countersX/other", 3)
-        hits = agas.query("/counters")
-        assert [n for n, _ in hits] == [
-            "/counters/node0/busy_time", "/counters/node1/busy_time"]
-
-    def test_query_exact_name(self):
-        agas = AddressSpace()
-        agas.register("/a/b", 1)
-        assert agas.query("/a/b") == [("/a/b", 1)]
+    @pytest.mark.parametrize("name, message", [
+        ("", "must start with"), ("/", "empty AGAS name"),
+        ("//", "empty AGAS name")])
+    def test_degenerate_names_rejected(self, name, message):
+        with pytest.raises(AgasError, match=message):
+            AddressSpace().register(name, 1)
 
     def test_len_and_iter(self):
         agas = AddressSpace()
@@ -113,13 +99,6 @@ class TestBusyTimeCounter:
         c.end_work(1.0, t2)
         assert c.value() == 2.0
 
-    def test_open_intervals_count(self):
-        c = BusyTimeCounter("/b")
-        t1 = c.begin_work(0.0)
-        assert c.open_intervals() == 1
-        c.end_work(1.0, t1)
-        assert c.open_intervals() == 0
-
     def test_unknown_token_raises(self):
         with pytest.raises(ValueError, match="unknown work token"):
             BusyTimeCounter("/b").end_work(1.0, 99)
@@ -152,7 +131,7 @@ class TestBusyTimeCounter:
         c.end_work(5.0, t1)
         c.end_work(6.0, t2)
         assert c.value() == 1.0 + 2.0
-        assert c.open_intervals() == 0
+        c.reset()  # no interval left open: a reset needs no time
 
     def test_reset_with_open_intervals_requires_now(self):
         c = BusyTimeCounter("/b")
@@ -176,27 +155,21 @@ class TestBusyTimeCounter:
 
 
 class TestCounterRegistry:
-    def test_create_and_get_busy_time(self):
+    def test_create_registers_in_agas(self):
         reg = CounterRegistry()
         c = reg.create_busy_time("node0")
-        assert reg.get("node0", BUSY_TIME) is c
+        assert reg.agas.resolve("/counters/node0/busy_time") is c
 
-    def test_busy_time_accessor(self):
-        reg = CounterRegistry()
-        c = reg.create_busy_time("node0")
-        c.add(7.0)
-        assert reg.busy_time("node0") == 7.0
-
-    def test_all_of_kind_creation_order(self):
+    def test_reset_all_walks_creation_order(self):
         """Creation order, not name order: lexicographic sorting put
-        ``node10`` before ``node2`` once a cluster reached ten nodes."""
+        ``node10`` before ``node2`` once a cluster reached ten nodes.
+        The first counter the reset reaches reports the bad time."""
         reg = CounterRegistry()
-        for i in range(12):
-            reg.create_busy_time(f"node{i}")
-        reg.create("node0", "messages")
-        busy = reg.all_of_kind(BUSY_TIME)
-        assert [c.name for c in busy] == [
-            f"/counters/node{i}/busy_time" for i in range(12)]
+        counters = [reg.create_busy_time(f"node{i}") for i in range(12)]
+        counters[2].begin_work(5.0)
+        counters[10].begin_work(5.0)
+        with pytest.raises(ValueError, match="/counters/node2/busy_time"):
+            reg.reset_all(now=1.0)
 
     def test_reset_all_matches_algorithm1_line35(self):
         reg = CounterRegistry()
@@ -204,19 +177,35 @@ class TestCounterRegistry:
         b = reg.create_busy_time("node1")
         a.add(1.0)
         b.add(2.0)
-        n = reg.reset_all(BUSY_TIME)
+        n = reg.reset_all()
         assert n == 2
         assert a.value() == 0.0 and b.value() == 0.0
 
-    def test_reset_all_kind_filter(self):
+    def test_create_names_the_counter_by_locality(self):
+        c = CounterRegistry().create_busy_time("node3")
+        assert isinstance(c, BusyTimeCounter)
+        assert c.name == "/counters/node3/busy_time"
+
+    def test_reset_all_without_counters(self):
+        assert CounterRegistry().reset_all(now=1.0) == 0
+
+    def test_reset_all_keeps_every_lifetime_total(self):
         reg = CounterRegistry()
-        busy = reg.create_busy_time("node0")
-        other = reg.create("node0", "messages")
-        busy.add(1.0)
-        other.add(1.0)
-        reg.reset_all(BUSY_TIME)
-        assert busy.value() == 0.0
-        assert other.value() == 1.0
+        counters = [reg.create_busy_time(f"node{i}") for i in range(3)]
+        for i, c in enumerate(counters):
+            c.add(float(i + 1))
+        reg.reset_all()
+        assert [c.value() for c in counters] == [0.0, 0.0, 0.0]
+        assert [c.total() for c in counters] == [1.0, 2.0, 3.0]
+
+    def test_registry_uses_the_given_address_space(self):
+        agas = AddressSpace()
+        agas.register("/objects/sd/0", "sd")
+        reg = CounterRegistry(agas)
+        c = reg.create_busy_time("node0")
+        assert agas.names() == ["/counters/node0/busy_time",
+                                "/objects/sd/0"]
+        assert agas.resolve("/counters/node0/busy_time") is c
 
     def test_duplicate_locality_raises(self):
         reg = CounterRegistry()
@@ -232,7 +221,7 @@ class TestCounterRegistry:
         b = reg.create_busy_time("node1")
         tok = a.begin_work(0.0)
         b.add(3.0)
-        n = reg.reset_all(BUSY_TIME, now=10.0)
+        n = reg.reset_all(now=10.0)
         assert n == 2
         assert a.value() == 0.0 and b.value() == 0.0
         a.end_work(14.0, tok)

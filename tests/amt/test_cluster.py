@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.amt.agas import AddressSpace, AgasError
 from repro.amt.cluster import (ConstantSpeed, PiecewiseSpeed, RampSpeed,
                                SimCluster)
 from repro.amt.des import SimulationError
@@ -265,14 +266,14 @@ class TestSimCluster:
         assert end == pytest.approx(3.0)
         assert fut.is_ready()
 
-    def test_busy_fraction_and_idle(self):
+    def test_busy_time_per_node(self):
         cluster = SimCluster(num_nodes=2)
         cluster.submit(0, work=4.0)
         cluster.submit(1, work=1.0)
         cluster.run()
-        assert cluster.busy_fraction(0) == pytest.approx(1.0)
-        assert cluster.busy_fraction(1) == pytest.approx(0.25)
-        assert cluster.idle_time(1) == pytest.approx(3.0)
+        assert cluster.now == pytest.approx(4.0)
+        assert cluster.busy_time(0) == pytest.approx(4.0)
+        assert cluster.busy_time(1) == pytest.approx(1.0)
 
     def test_reset_counters_starts_new_window(self):
         cluster = SimCluster(num_nodes=1)
@@ -283,7 +284,8 @@ class TestSimCluster:
         cluster.submit(0, work=2.0)
         cluster.run()
         assert cluster.busy_time(0) == pytest.approx(2.0)
-        assert cluster.busy_fraction(0) == pytest.approx(1.0)
+        # busy for the whole window since the reset at t=4
+        assert cluster.busy_time(0) == pytest.approx(cluster.now - 4.0)
 
     def test_reset_counters_with_in_flight_work_clips_the_window(self):
         """A balance-poll-style reset while a task is mid-execution:
@@ -301,7 +303,7 @@ class TestSimCluster:
         cluster.run()
         # window: only the 6 busy seconds after the poll
         assert cluster.busy_time(0) == pytest.approx(6.0)
-        assert cluster.busy_fraction(0) == pytest.approx(1.0)
+        assert cluster.busy_time(0) == pytest.approx(cluster.now - 4.0)
         # lifetime keeps the full span
         assert cluster.nodes[0].counter.total() == pytest.approx(10.0)
         assert cluster.busy_time(1) == 0.0
@@ -310,6 +312,26 @@ class TestSimCluster:
         cluster = SimCluster(num_nodes=1)
         with pytest.raises(SimulationError, match="unknown node"):
             cluster.submit(5, work=1.0)
+
+    def test_busy_time_of_unknown_node_raises(self):
+        cluster = SimCluster(num_nodes=2)
+        with pytest.raises(SimulationError, match="unknown node"):
+            cluster.busy_time(2)
+
+    def test_busy_counters_registered_in_agas(self):
+        cluster = SimCluster(num_nodes=3)
+        assert cluster.agas.names() == [
+            f"/counters/node{i}/busy_time" for i in range(3)]
+        assert all(cluster.agas.resolve(f"/counters/node{i}/busy_time")
+                   is node.counter for i, node in enumerate(cluster.nodes))
+
+    def test_clusters_sharing_an_address_space_collide(self):
+        """AGAS names are global: a second cluster on the same space
+        would shadow the first one's counters, so it is refused."""
+        agas = AddressSpace()
+        SimCluster(num_nodes=2, agas=agas)
+        with pytest.raises(AgasError, match="already registered"):
+            SimCluster(num_nodes=1, agas=agas)
 
     def test_speed_list_length_checked(self):
         with pytest.raises(ValueError):
@@ -337,7 +359,8 @@ class TestSimCluster:
 
 
 class TestTaskFutures:
-    """Task futures compose with ``then``/``when_all`` on virtual time."""
+    """Task futures compose with callbacks and ``when_all`` on virtual
+    time."""
 
     def test_submit_returns_a_pending_future(self):
         cluster = SimCluster(num_nodes=1)
@@ -348,12 +371,12 @@ class TestTaskFutures:
         assert fut.get() == 3
 
     @pytest.mark.parametrize("wave", [True, False])
-    def test_then_runs_at_completion_time(self, wave):
+    def test_callback_runs_at_completion_time(self, wave):
         cluster = SimCluster(num_nodes=1, speeds=[ConstantSpeed(2.0)],
                              wave_batching=wave)
         seen = []
         for work in (2.0, 6.0):
-            cluster.submit(0, work=work).then(
+            cluster.submit(0, work=work)._add_callback(
                 lambda f: seen.append(cluster.now))
         cluster.run()
         assert seen == [pytest.approx(1.0), pytest.approx(4.0)]
@@ -364,7 +387,7 @@ class TestTaskFutures:
         futs = [cluster.submit(0, work=3.0), cluster.submit(0, work=1.0),
                 cluster.submit(1, work=2.0)]
         seen = []
-        when_all(futs).then(lambda f: seen.append(cluster.now))
+        when_all(futs)._add_callback(lambda f: seen.append(cluster.now))
         cluster.run()
         assert seen == [pytest.approx(4.0)]
 
@@ -435,49 +458,6 @@ class TestDefaultRate:
     def test_default_rate_must_be_positive(self):
         with pytest.raises(ValueError, match="default_rate"):
             SimCluster(num_nodes=1, default_rate=0.0)
-
-
-class TestNetworkingCounters:
-    """The paper's future-work item: per-node networking counters."""
-
-    def test_bytes_counted_on_both_ends(self):
-        cluster = SimCluster(num_nodes=2)
-        cluster.send(0, 1, nbytes=300)
-        cluster.run()
-        assert cluster.bytes_sent(0) == 300
-        assert cluster.bytes_received(1) == 300
-        assert cluster.bytes_sent(1) == 0
-        assert cluster.bytes_received(0) == 0
-
-    def test_self_send_not_counted(self):
-        cluster = SimCluster(num_nodes=1)
-        cluster.send(0, 0, nbytes=500)
-        cluster.run()
-        assert cluster.bytes_sent(0) == 0
-
-    def test_registered_in_agas(self):
-        cluster = SimCluster(num_nodes=2)
-        assert cluster.agas.contains("/counters/node0/bytes_sent")
-        assert cluster.agas.contains("/counters/node1/bytes_received")
-
-    def test_reset_counters_zeroes_network_window(self):
-        cluster = SimCluster(num_nodes=2)
-        cluster.send(0, 1, nbytes=100)
-        cluster.run()
-        cluster.reset_counters()
-        assert cluster.bytes_sent(0) == 0.0
-        # lifetime total is preserved on the counter object
-        c = cluster.agas.resolve("/counters/node0/bytes_sent")
-        assert c.total() == 100.0
-
-    def test_accumulates_across_messages(self):
-        cluster = SimCluster(num_nodes=3)
-        cluster.send(0, 1, nbytes=10)
-        cluster.send(0, 2, nbytes=20)
-        cluster.send(1, 0, nbytes=5)
-        cluster.run()
-        assert cluster.bytes_sent(0) == 30
-        assert cluster.bytes_received(0) == 5
 
 
 class TestTimer:

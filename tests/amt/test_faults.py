@@ -53,10 +53,23 @@ class TestFaultSchedule:
         assert [e.kind for e in sched.events] == ["straggle", "join", "fail"]
         assert FaultSchedule.from_dict(sched.to_dict()) == sched
         assert sched.max_nodes == 4
-        assert [e.node for e in sched.fails()] == [1]
-        assert [e.node for e in sched.joins()] == [3]
         assert sched.straggles_of(0)[0].factor == 0.5
         assert sched.straggles_of(1) == []
+
+    def test_max_nodes_counts_every_join(self):
+        assert FaultSchedule(3, ()).max_nodes == 3
+        sched = FaultSchedule(2, (ChurnEvent("join", 1.0, 2),
+                                  ChurnEvent("join", 2.0, 3),
+                                  ChurnEvent("fail", 3.0, 0)))
+        assert sched.max_nodes == 4
+
+    def test_straggles_of_in_time_order(self):
+        sched = FaultSchedule(2, (
+            ChurnEvent("straggle", 5.0, 0, stop=6.0, factor=0.5),
+            ChurnEvent("straggle", 1.0, 0, stop=2.0, factor=0.25),
+            ChurnEvent("straggle", 3.0, 1, stop=4.0, factor=0.5)))
+        assert [e.time for e in sched.straggles_of(0)] == [1.0, 5.0]
+        assert [e.factor for e in sched.straggles_of(1)] == [0.5]
 
     def test_same_instant_join_covers_fail(self):
         # join sorts before fail at the same instant, so the pair is
@@ -236,7 +249,9 @@ class TestElasticCluster:
         assert fut.is_ready()
         assert cluster.now - start == pytest.approx(2.0)  # 8 work @ 4/s
         assert cluster.busy_time(1) == pytest.approx(2.0)
-        assert cluster.bytes_sent(1) == 0.0
+        # the joiner's busy counter resolves through AGAS like the rest
+        assert (cluster.agas.resolve("/counters/node1/busy_time")
+                is cluster.nodes[1].counter)
 
     def test_cancelled_completion_does_not_fire(self):
         """The failure instant coinciding with a completion: the

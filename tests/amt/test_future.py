@@ -92,49 +92,6 @@ class TestFuture:
         assert fut.get() is None
 
 
-class TestThen:
-    def test_then_on_ready_future_runs_immediately(self):
-        g = _ready(10).then(lambda fut: fut.get() * 2)
-        assert g.get() == 20
-
-    def test_then_on_pending_runs_after_set(self):
-        f = Future()
-        g = f.then(lambda fut: fut.get() + 1)
-        assert not g.is_ready()
-        f._set_value(1)
-        assert g.get() == 2
-
-    def test_then_propagates_continuation_exception(self):
-        g = _ready(0).then(lambda fut: 1 / fut.get())
-        with pytest.raises(ZeroDivisionError):
-            g.get()
-
-    def test_then_chain(self):
-        f = Future()
-        g = f.then(lambda f: f.get() + 1).then(lambda f: f.get() * 3)
-        f._set_value(4)
-        assert g.get() == 15
-
-
-    def test_then_result_is_a_future(self):
-        fut = Future()
-        out = fut.then(lambda f: f.get() * 2)
-        assert type(out) is Future
-        fut._set_value(21)
-        assert out.get() == 42
-
-    def test_then_sees_input_exception(self):
-        out = _failed(RuntimeError("input failed")).then(lambda f: f.get())
-        assert out.has_exception()
-        with pytest.raises(RuntimeError, match="input failed"):
-            out.get()
-
-    def test_then_may_recover_from_input_exception(self):
-        out = _failed(RuntimeError()).then(
-            lambda f: "fallback" if f.has_exception() else f.get())
-        assert out.get() == "fallback"
-
-
 class TestWhenAll:
     def test_empty_ready_immediately(self):
         f = when_all([])
@@ -176,44 +133,6 @@ class TestWhenAll:
         assert combined.get() == [fut, fut]
 
 
-def _add(*futs):
-    """``dataflow``-style composition: add the inputs' values once all
-    are ready, built from :func:`when_all` and :meth:`Future.then`."""
-    return when_all(futs).then(
-        lambda done: sum(f.get() for f in done.get()))
-
-
-class TestComposition:
-    """The paper's dataflow idiom expressed as ``when_all(...).then``."""
-
-    def test_paper_listing1_add(self):
-        # mirrors the paper's Listing 1: a+b and c+d computed
-        # asynchronously, then combined.
-        assert _add(_ready(1 + 2), _ready(3 + 4)).get() == 10
-
-    def test_waits_for_pending(self):
-        a, b = Future(), Future()
-        out = when_all([a, b]).then(
-            lambda done: done.get()[0].get() * done.get()[1].get())
-        a._set_value(6)
-        assert not out.is_ready()
-        b._set_value(7)
-        assert out.get() == 42
-
-    def test_propagates_input_exception(self):
-        out = _add(_ready(1), _failed(RuntimeError("input failed")))
-        with pytest.raises(RuntimeError, match="input failed"):
-            out.get()
-
-    def test_propagates_fn_exception(self):
-        out = when_all([_ready(1)]).then(lambda done: 1 / 0)
-        with pytest.raises(ZeroDivisionError):
-            out.get()
-
-    def test_no_inputs_runs_immediately(self):
-        assert _add().get() == 0
-
-
 class TestBarrierGroups:
     """The ``_group``/``_wave`` slots wave batching reads."""
 
@@ -233,9 +152,9 @@ class TestBarrierGroups:
         assert shared._group is future_mod._MULTI
         assert own._group is first
 
-    def test_then_marks_input_multi(self):
+    def test_callback_marks_input_multi(self):
         fut = Future()
-        fut.then(lambda f: None)
+        fut._add_callback(lambda f: None)
         assert fut._group is future_mod._MULTI
 
     def test_barrier_does_not_clear_multi(self):
@@ -247,7 +166,7 @@ class TestBarrierGroups:
     def test_ready_input_is_not_tagged(self):
         ready = _ready(1)
         when_all([ready])
-        ready.then(lambda f: None)
+        ready._add_callback(lambda f: None)
         assert ready._group is None
         assert future_mod._active_group is None
 
@@ -256,7 +175,7 @@ class TestBarrierGroups:
         calls = []
         fut._wave = lambda: calls.append(future_mod._active_group)
         when_all([fut])
-        fut.then(lambda f: None)
+        fut._add_callback(lambda f: None)
         assert calls == [None, None]
 
     def test_wave_hook_subscriptions_are_untagged(self):

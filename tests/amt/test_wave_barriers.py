@@ -75,7 +75,7 @@ class TestBarrierAwareWaves:
             futs = [c.submit(0, 10.0) for _ in range(5)]
             seen = []
             # at t=25 (mid-wave), subscribe to task 3 (finishes at 40)
-            c.timer(25.0).then(
+            c.timer(25.0)._add_callback(
                 lambda _f: futs[3]._add_callback(
                     lambda _g: seen.append(c.now)))
             c.run()

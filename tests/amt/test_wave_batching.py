@@ -13,6 +13,8 @@ import pytest
 
 from repro.amt.cluster import (ConstantSpeed, PiecewiseSpeed, SimCluster,
                                StraggleSpeed)
+from repro.amt.topology import (FlatTopology, HierarchicalTopology,
+                                SwitchedTopology)
 
 WORKS = [1e-4 * (1 + (k % 7)) for k in range(64)]
 
@@ -185,8 +187,8 @@ class TestWaveInterruption:
         assert cluster.now == 2.0
         assert all(not n.pending for n in cluster.nodes)
         assert sum(n.tasks_completed for n in cluster.nodes) == len(WORKS) + 1
-        # the window denominator now covers the idle tail too
-        assert cluster.busy_fraction(0) < 1.0
+        # the window now covers the idle tail too
+        assert cluster.busy_time(0) < cluster.now * cluster.nodes[0].cores
 
     def test_orphans_resubmit_after_mid_wave_failure(self):
         cluster = self._loaded(True)
@@ -215,9 +217,9 @@ class TestSendMany:
             for fut in futs:
                 fut._add_callback(lambda _f: stamps.append(cluster.now))
             cluster.run()
-            return (stamps, cluster.now,
-                    [cluster.bytes_sent(n) for n in range(4)],
-                    [cluster.bytes_received(n) for n in range(4)])
+            net = cluster.network
+            return (stamps, cluster.now, net.bytes_sent, net.messages_sent,
+                    net.bytes_by_class)
 
         assert run(True) == run(False)
 
@@ -225,7 +227,8 @@ class TestSendMany:
         cluster = SimCluster(2)
         futs = cluster.send_many([(0, 0, 4096), (1, 1, 4096)])
         assert all(f.is_ready() for f in futs)
-        assert cluster.bytes_sent(0) == 0  # loopback is not NIC traffic
+        # loopback is not NIC traffic
+        assert cluster.network.bytes_sent == 0
 
     def test_unknown_node_rejected(self):
         from repro.amt.des import SimulationError
@@ -234,3 +237,60 @@ class TestSendMany:
             cluster.send_many([(0, 5, 100)])
         with pytest.raises(SimulationError, match="unknown node"):
             cluster.send_many([(-1, 0, 100)])
+
+
+#: Topologies whose byte accounting differs: one route class, a rack
+#: switch, and racks behind a WAN link.
+_TOPOLOGIES = {
+    "flat": FlatTopology,
+    "switched": lambda: SwitchedTopology(rack_size=2),
+    "hier-wan": lambda: HierarchicalTopology(
+        racks=(0, 0, 1, 1), join_rack=2, wan_racks=(1,),
+        wan_latency=1e-3, wan_bandwidth=1e6),
+}
+
+_MESSAGES = [((i * 7) % 4, (i * 13) % 4, 512 + 32 * i) for i in range(24)]
+
+
+class TestSendPathAccounting:
+    """The topology is the one record of bytes on the wire: every send
+    path charges it alike."""
+
+    @pytest.mark.parametrize("wave", [False, True])
+    @pytest.mark.parametrize("topology", sorted(_TOPOLOGIES))
+    def test_every_send_path_charges_the_topology_alike(self, topology,
+                                                        wave):
+        seen = []
+        for path in ("send", "send_many", "send_group"):
+            cluster = SimCluster(4, network=_TOPOLOGIES[topology](),
+                                 wave_batching=wave)
+            if path == "send":
+                for src, dst, nbytes in _MESSAGES:
+                    cluster.send(src, dst, nbytes)
+            else:
+                getattr(cluster, path)(_MESSAGES)
+            cluster.run()
+            net = cluster.network
+            seen.append((cluster.now, net.bytes_sent, net.messages_sent,
+                         net.bytes_by_class))
+        assert seen[0] == seen[1] == seen[2]
+        loopback = sum(b for s, d, b in _MESSAGES if s == d)
+        assert seen[0][1] == sum(b for _, _, b in _MESSAGES) - loopback
+
+    @pytest.mark.parametrize("dst", [0, 1], ids=["loopback", "remote"])
+    @pytest.mark.parametrize("path", ["send", "send_many", "send_group"])
+    def test_negative_bytes_rejected(self, path, dst):
+        cluster = SimCluster(2)
+        with pytest.raises(ValueError, match="nbytes"):
+            if path == "send":
+                cluster.send(0, dst, -1)
+            else:
+                getattr(cluster, path)([(0, dst, -1)])
+
+    @pytest.mark.parametrize("wave", [False, True])
+    def test_loopback_group_resolves_at_once_and_charges_nothing(self, wave):
+        cluster = SimCluster(2, wave_batching=wave)
+        fut = cluster.send_group([(0, 0, 4096), (1, 1, 4096)])
+        assert fut.is_ready()
+        assert cluster.network.bytes_sent == 0
+        assert cluster.network.messages_sent == 0

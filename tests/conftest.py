@@ -28,3 +28,29 @@ def run_per_event():
             return run_scenario(spec)
 
     return run
+
+
+@pytest.fixture(scope="session")
+def solve_manufactured():
+    """The validation study's serial driver (paper Fig. 8).
+
+    ``solve(nx, eps_factor, num_steps, dt, source_mode, dim)`` builds the
+    manufactured problem on an ``nx x nx`` grid (``nx x 1`` in 1-D) with
+    ``eps = eps_factor * h``, integrates ``num_steps`` steps, and returns
+    the :class:`repro.solver.serial.SolveResult` with per-step errors.
+    """
+    from repro.mesh.grid import UniformGrid
+    from repro.solver.exact import ManufacturedProblem
+    from repro.solver.model import NonlocalHeatModel
+    from repro.solver.serial import SerialSolver
+
+    def solve(nx, eps_factor=8.0, num_steps=20, dt=None,
+              source_mode="continuum", dim=2):
+        grid = UniformGrid(nx, nx if dim == 2 else 1, dim=dim)
+        model = NonlocalHeatModel(epsilon=eps_factor * grid.h, dim=dim)
+        problem = ManufacturedProblem(model, grid, source_mode=source_mode)
+        solver = SerialSolver(model, grid, source=problem.source, dt=dt)
+        return solver.run(problem.initial_condition(), num_steps,
+                          exact=problem.exact)
+
+    return solve

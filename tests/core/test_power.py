@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.power import (compute_power, expected_sds, imbalance_ratio,
-                              integer_targets, load_imbalance)
+                              integer_targets)
+
+
+def load_imbalance(sd_counts, busy_times):
+    """Eq. (9): ``E(N_i) - SD(N_i)`` for every node."""
+    sds = np.asarray(sd_counts, dtype=np.float64)
+    power = compute_power(sds, busy_times)
+    return expected_sds(float(sds.sum()), power) - sds
 
 
 class TestComputePower:

@@ -32,10 +32,10 @@ class TestBuildTree:
         assert tree.neighbors(1) == [0, 2]
         assert tree.neighbors(0) == [1]
 
-    def test_contains(self):
+    def test_disconnected_node_has_no_parent(self):
         tree = build_dependency_tree(3, [(0, 1)], root=0)
-        assert tree.contains(0) and tree.contains(1)
-        assert not tree.contains(2)  # disconnected
+        assert tree.parent[1] == 0
+        assert tree.parent[2] < 0  # unreachable from the root
 
     def test_validation(self):
         with pytest.raises(ValueError, match="root"):

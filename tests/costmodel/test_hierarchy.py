@@ -7,10 +7,9 @@ import math
 import pytest
 
 from repro.costmodel import (FlatCostModel, HierarchyCostModel, WorkItem,
-                             clear_profile_cache, profile_cache_info,
                              reuse_profile)
-from repro.costmodel.hierarchy import DEFAULT_HIERARCHY, REFERENCE_RATE, \
-    MemoryHierarchy, MemoryLevel
+from repro.costmodel.hierarchy import (DEFAULT_HIERARCHY, MemoryHierarchy,
+                                       MemoryLevel)
 from repro.experiments.spec import ClusterSpec, MemoryLevelSpec, MemorySpec
 
 L1 = MemoryLevel("L1", 1024, 4e11, 1e-9)
@@ -69,12 +68,12 @@ class TestReuseProfiles:
             reuse_profile("direct", 16, 16, -1)
 
     def test_profiles_are_cached_like_the_operator_cache(self):
-        clear_profile_cache()
+        reuse_profile.cache_clear()
         reuse_profile("direct", 8, 8, 2)
-        first = profile_cache_info()
+        first = reuse_profile.cache_info()
         assert first.misses == 1
         again = reuse_profile("direct", 8, 8, 2)
-        assert profile_cache_info().hits == first.hits + 1
+        assert reuse_profile.cache_info().hits == first.hits + 1
         assert again is reuse_profile("direct", 8, 8, 2)
 
     def test_sparse_streams_mostly_to_dram(self):
@@ -123,15 +122,9 @@ class TestHierarchyCostModel:
 
     def test_slowdown_is_deterministic_across_instances(self):
         a = HierarchyCostModel().task_work(self.ITEM)
-        clear_profile_cache()
+        reuse_profile.cache_clear()
         b = HierarchyCostModel().task_work(self.ITEM)
         assert a == b
-
-    def test_task_time_integrates_through_a_bare_rate(self):
-        model = HierarchyCostModel()
-        work = model.task_work(self.ITEM)
-        assert model.task_time(self.ITEM, REFERENCE_RATE) == \
-            work / REFERENCE_RATE
 
     def test_tighter_caches_cost_more(self):
         tiny = HierarchyCostModel(memory=MemoryHierarchy(levels=(

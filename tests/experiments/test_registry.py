@@ -75,8 +75,8 @@ def test_hetero_drift_spec_shape():
     assert drift.rates_end == spec.cluster.speed_rates[::-1]
     assert 0 < drift.start < drift.stop
     assert spec.policy.balancer == "greedy"
-    assert spec.policy.enabled
-    assert not build("hetero_drift", balanced=False).policy.enabled
+    assert spec.policy.build() is not None
+    assert build("hetero_drift", balanced=False).policy.build() is None
 
 
 def test_churn_scenario_shapes():
@@ -87,7 +87,7 @@ def test_churn_scenario_shapes():
     assert kinds == ["straggle", "fail", "join"]  # time-sorted
     assert faults.events[-1].node == 4  # joiner id after the initial 4
     assert spec.policy.balancer == "greedy"
-    assert not build("hetero_churn", balanced=False).policy.enabled
+    assert build("hetero_churn", balanced=False).policy.build() is None
 
     golden = build("fault_recovery")
     # everything pinned so the committed golden record is invariant

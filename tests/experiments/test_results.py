@@ -19,7 +19,8 @@ class TestRunRecord:
 
     def test_json_round_trip_is_exact(self):
         rec = _record()
-        assert RunRecord.from_json(rec.to_json()) == rec
+        text = json.dumps(rec.to_dict(), indent=2, sort_keys=True)
+        assert RunRecord.from_dict(json.loads(text)) == rec
 
     def test_dict_holds_plain_json_types(self):
         # the sweep runner's bit-identity guarantee rests on this

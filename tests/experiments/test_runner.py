@@ -162,10 +162,9 @@ class TestRunScenario:
         assert rec.errors is not None and len(rec.errors) == 3  # e_0..e_2
         assert rec.total_error == pytest.approx(sum(rec.errors))
 
-    def test_distributed_numerics_match_serial(self):
+    def test_distributed_numerics_match_serial(self, solve_manufactured):
         """The engine preserves the repo's core invariant: schedule is
         virtual, temperatures are real and equal to the serial path."""
-        from repro.solver.serial import solve_manufactured
         rec = run_scenario(build("quickstart", nx=16, sd_axis=2, nodes=2,
                                  steps=4))
         ref = solve_manufactured(16, eps_factor=8.0, num_steps=4)

@@ -242,7 +242,6 @@ class TestPolicySpec:
     def test_build(self):
         from repro.core.policy import IntervalPolicy, ThresholdPolicy
         assert PolicySpec().build() is None
-        assert not PolicySpec().enabled
         assert isinstance(PolicySpec(kind="interval", interval=2).build(),
                           IntervalPolicy)
         assert isinstance(PolicySpec(kind="threshold", ratio=1.2).build(),

@@ -107,8 +107,8 @@ class TestCrackScenario:
         grid = UniformGrid(128, 128)
         model = NonlocalHeatModel(epsilon=8 * grid.h)
         sd_grid = SubdomainGrid(128, 128, 8, 8)
-        cracks = [Crack.horizontal(0.1875, 0.02, 0.98),
-                  Crack.horizontal(0.3125, 0.02, 0.98)]
+        cracks = [Crack([(0.02, 0.1875), (0.98, 0.1875)]),
+                  Crack([(0.02, 0.3125), (0.98, 0.3125)])]
         wf = crack_work_factors(sd_grid, cracks, horizon=2 * model.epsilon,
                                 floor=0.2)
         assert (wf < 1).sum() > 8

@@ -59,7 +59,10 @@ class TestCommunicationInvariants:
         sg = SubdomainGrid(5 * sds, 5 * sds, sds, sds)
         parts = partition_sd_grid(sds, sds, 3, seed=0)
         decomp = Decomposition(sg, parts, 3)
-        c1, c2 = decomp.case_counts(radius)
+        splits = [decomp.case_split(sd, radius)
+                  for sd in range(sg.num_subdomains)]
+        c1 = sum(s.case1_count for s in splits)
+        c2 = sum(s.case2_count for s in splits)
         assert c1 + c2 == (5 * sds) ** 2
         assert c1 >= 0 and c2 >= 0
 

@@ -98,14 +98,13 @@ class TestThreeWayAgreement:
 
 
 class TestConvergenceOrder:
-    def test_spatial_convergence_is_second_order(self):
+    def test_spatial_convergence_is_second_order(self, solve_manufactured):
         """Continuum-source errors shrink ~4x per mesh halving.
 
         The error norm (eq. 7) is a *squared* L2 sum, so second-order
         pointwise accuracy appears as a factor ~16 per refinement; we
         require at least 8 to allow boundary-layer pollution.
         """
-        from repro.solver.serial import solve_manufactured
         errors = []
         for nx in (16, 32, 64):
             res = solve_manufactured(nx, eps_factor=2, num_steps=4,
@@ -115,9 +114,8 @@ class TestConvergenceOrder:
         assert errors[0] / errors[1] > 8
         assert errors[1] / errors[2] > 8
 
-    def test_temporal_convergence_first_order(self):
+    def test_temporal_convergence_first_order(self, solve_manufactured):
         """Discrete-source errors scale ~dt (squared norm => ~dt^2)."""
-        from repro.solver.serial import solve_manufactured
         T = 16 * 2e-4
         coarse = solve_manufactured(16, eps_factor=2, num_steps=16,
                                     dt=T / 16, source_mode="discrete")

@@ -18,20 +18,11 @@ def quad_decomp(mesh=16, sds=4, nodes=4):
 
 
 class TestOwnership:
-    def test_owner_and_sds_of_node(self):
+    def test_owner_of_quadrants(self):
         d = quad_decomp()
-        assert d.owner(0) == 0
-        sds0 = d.sds_of_node(0)
-        assert len(sds0) == 4
-        assert all(d.owner(s) == 0 for s in sds0)
-
-    def test_sp_sizes(self):
-        d = quad_decomp()
-        assert list(d.sp_sizes()) == [4, 4, 4, 4]
-
-    def test_dp_counts_per_node(self):
-        d = quad_decomp(mesh=16, sds=4)
-        assert list(d.dp_counts_per_node()) == [64, 64, 64, 64]
+        owners = [d.owner(sd) for sd in range(16)]
+        assert owners[0] == 0
+        assert list(np.bincount(owners)) == [4, 4, 4, 4]
 
     def test_validation(self):
         sg = SubdomainGrid(8, 8, 2, 2)
@@ -134,8 +125,8 @@ class TestCaseSplit:
 
     def test_case_counts_sum_to_mesh(self):
         d = quad_decomp(mesh=16, sds=4)
-        c1, c2 = d.case_counts(radius=2)
-        assert c1 + c2 == 16 * 16
+        splits = [d.case_split(sd, radius=2) for sd in range(16)]
+        assert sum(s.case1_count + s.case2_count for s in splits) == 16 * 16
 
     def test_corner_sd_two_foreign_sides(self):
         d = quad_decomp(mesh=16, sds=4)

@@ -16,11 +16,11 @@ def sg8():
 class TestFactories:
     def test_full_mask(self):
         m = DomainMask.full(sg8())
-        assert m.num_active == 64
+        assert len(m.active_sds()) == 64
 
     def test_l_shape_removes_corner(self):
         m = DomainMask.l_shape(sg8(), notch=0.5)
-        assert m.num_active == 64 - 16
+        assert len(m.active_sds()) == 64 - 16
         sg = m.sd_grid
         assert not m.active[sg.sd_id(7, 7)]  # notched corner
         assert m.active[sg.sd_id(0, 0)]
@@ -31,11 +31,11 @@ class TestFactories:
         sg = m.sd_grid
         assert not m.active[sg.sd_id(0, 0)]
         assert m.active[sg.sd_id(4, 4)]
-        assert 40 <= m.num_active <= 60
+        assert 40 <= len(m.active_sds()) <= 60
 
     def test_predicate(self):
         m = DomainMask.from_predicate(sg8(), lambda x, y: x < 0.5)
-        assert m.num_active == 32
+        assert len(m.active_sds()) == 32
 
     def test_validation(self):
         with pytest.raises(ValueError, match="mask length"):
@@ -89,8 +89,8 @@ class TestPartitioningActiveRegion:
     def test_active_dual_graph_vertex_count(self):
         m = DomainMask.l_shape(sg8())
         graph, ids = m.active_dual_graph()
-        assert graph.num_vertices == m.num_active
-        assert len(ids) == m.num_active
+        assert graph.num_vertices == len(m.active_sds())
+        assert len(ids) == len(m.active_sds())
 
     def test_partition_only_active_region(self):
         m = DomainMask.l_shape(sg8())
@@ -149,7 +149,7 @@ class TestEndToEndLShapeSolve:
         sg = SubdomainGrid(32, 32, 4, 4)
         mask = DomainMask.l_shape(sg, notch=0.5)
         parts = mask.scatter_parts(
-            np.zeros(mask.num_active, dtype=int))
+            np.zeros(len(mask.active_sds()), dtype=int))
         u0 = np.ones(grid.shape)
         dt = stable_dt(model, grid)
         solver = DistributedSolver(model, grid, sg, parts, num_nodes=1,

@@ -66,23 +66,3 @@ class TestCoordinates:
         z = g.zeros()
         assert z.shape == (4, 3)
         assert np.all(z == 0.0)
-
-
-class TestBoundaryDistance:
-    def test_corner_cell_nearest(self):
-        g = UniformGrid(8, 8)
-        d = g.boundary_distance()
-        assert d[0, 0] == pytest.approx(g.h / 2)
-
-    def test_center_farthest(self):
-        g = UniformGrid(8, 8)
-        d = g.boundary_distance()
-        assert d.max() == pytest.approx(0.5 - g.h / 2)
-        assert np.unravel_index(d.argmax(), d.shape) in [(3, 3), (3, 4), (4, 3), (4, 4)]
-
-    def test_1d_distance(self):
-        g = UniformGrid(4, dim=1)
-        d = g.boundary_distance()
-        assert d.shape == (1, 4)
-        assert d[0, 0] == pytest.approx(0.125)
-        assert d[0, 1] == pytest.approx(0.375)

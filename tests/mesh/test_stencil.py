@@ -85,34 +85,24 @@ class TestNonlocalStencil:
         with pytest.raises(ValueError, match="square or a single row"):
             NonlocalStencil(np.zeros((3, 5)), 0.1, 0.2)
 
-    def test_mask_1d_returns_central_row(self):
-        st = build_stencil(h=0.1, epsilon=0.2, influence=constant_influence)
-        row = st.mask_1d()
-        assert row.shape == (2 * st.radius + 1,)
-        assert row[st.radius] == 0.0
-
-    def test_mask_1d_on_single_row_mask(self):
-        """Regression (1-D path): a ``(1, 2k+1)`` single-row mask is a
-        valid stencil and ``mask_1d`` must return exactly that row —
-        ``mask.shape[0] // 2`` is row 0 here, not the mask radius."""
+    def test_single_row_mask(self):
+        """A ``(1, 2k+1)`` single-row mask is a valid (1-D) stencil
+        whose radius comes from its width."""
         mask = np.array([[1.0, 2.0, 0.0, 2.0, 1.0]])
         st = NonlocalStencil(mask, h=0.1, epsilon=0.2)
         assert st.radius == 2
-        row = st.mask_1d()
-        assert row.shape == (5,)
-        np.testing.assert_array_equal(row, mask[0])
-        # a copy, not a view into the stencil's mask
-        row[0] = 99.0
-        assert st.mask[0, 0] == 1.0
+        np.testing.assert_array_equal(st.mask, mask)
 
-    def test_mask_1d_of_built_1d_stencil_matches_square_central_row(self):
+    @pytest.mark.parametrize("influence", [
+        constant_influence, linear_influence, gaussian_influence])
+    def test_built_1d_stencil_matches_square_central_row(self, influence):
         """The 1-D stencil's only row carries the same weights as the
         central row of the 2-D stencil at the same (h, eps)."""
-        s1 = build_stencil(h=0.1, epsilon=0.35, influence=linear_influence,
-                           dim=1)
-        s2 = build_stencil(h=0.1, epsilon=0.35, influence=linear_influence,
-                           dim=2)
-        np.testing.assert_allclose(s1.mask_1d(), s2.mask_1d(), atol=1e-15)
+        s1 = build_stencil(h=0.1, epsilon=0.35, influence=influence, dim=1)
+        s2 = build_stencil(h=0.1, epsilon=0.35, influence=influence, dim=2)
+        assert s1.mask.shape == (1, 2 * s2.radius + 1)
+        np.testing.assert_allclose(s1.mask[0], s2.mask[s2.radius],
+                                   atol=1e-15)
 
     def test_weight_sum(self):
         mask = np.array([[0.0, 1.0, 0.0],

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.models.workload import (drift_ramp, heterogeneous_constant,
-                                   random_interference,
-                                   staircase_degradation, step_interference)
+from repro.models.workload import drift_ramp, step_interference
 
 
 class TestStepInterference:
@@ -29,53 +27,6 @@ class TestStepInterference:
             step_interference(1.0, 0.0, 1.0, slowdown=0.0)
         with pytest.raises(ValueError, match="start < stop"):
             step_interference(1.0, 5.0, 5.0)
-
-
-class TestStaircase:
-    def test_decay_steps(self):
-        tr = staircase_degradation(8.0, [1.0, 2.0], decay=0.5)
-        assert tr.rate(0.5) == 8.0
-        assert tr.rate(1.5) == 4.0
-        assert tr.rate(3.0) == 2.0
-
-    def test_no_steps_constant(self):
-        tr = staircase_degradation(8.0, [])
-        assert tr.rate(100.0) == 8.0
-
-    def test_unsorted_steps_accepted(self):
-        tr = staircase_degradation(8.0, [2.0, 1.0], decay=0.5)
-        assert tr.rate(1.5) == 4.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="decay"):
-            staircase_degradation(1.0, [1.0], decay=1.5)
-
-
-class TestRandomInterference:
-    def test_deterministic_for_seed(self):
-        a = random_interference(10.0, 100.0, 3, seed=42)
-        b = random_interference(10.0, 100.0, 3, seed=42)
-        for t in (0.0, 25.0, 50.0, 75.0):
-            assert a.rate(t) == b.rate(t)
-
-    def test_zero_windows_constant(self):
-        tr = random_interference(10.0, 100.0, 0)
-        assert tr.rate(50.0) == 10.0
-
-    def test_rates_are_base_or_slowed(self):
-        tr = random_interference(10.0, 100.0, 4, slowdown=0.25, seed=1)
-        for t in range(0, 100, 5):
-            assert tr.rate(float(t)) in (10.0, 2.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="slowdown"):
-            random_interference(1.0, 10.0, 2, slowdown=1.5)
-
-
-class TestHeterogeneousConstant:
-    def test_builds_constant_traces(self):
-        traces = heterogeneous_constant([1.0, 2.0, 4.0])
-        assert [tr.rate(0.0) for tr in traces] == [1.0, 2.0, 4.0]
 
 
 class TestDriftRamp:

@@ -7,21 +7,31 @@ from hypothesis import strategies as st
 
 from repro.partition.graph import Graph, graph_from_edges, grid_dual_graph
 
+from graph_checks import assert_symmetric_without_self_loops, num_edges
+
 
 class TestGraphFromEdges:
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7))
+                    .filter(lambda e: e[0] != e[1]), max_size=30))
+    @settings(max_examples=40, deadline=None)
+    def test_random_edge_lists_build_symmetric_graphs(self, edges):
+        g = graph_from_edges(8, edges)
+        assert_symmetric_without_self_loops(g)
+        assert num_edges(g) == len({frozenset(e) for e in edges})
+
     def test_simple_path(self):
         g = graph_from_edges(3, [(0, 1), (1, 2)])
         assert g.num_vertices == 3
-        assert g.num_edges == 2
+        assert num_edges(g) == 2
         assert list(g.neighbors(1)) == [0, 2]
 
     def test_edges_symmetric(self):
         g = graph_from_edges(4, [(0, 2), (2, 3)])
-        g.validate()
+        assert_symmetric_without_self_loops(g)
 
     def test_duplicate_edges_merge_weights(self):
         g = graph_from_edges(2, [(0, 1), (1, 0)], edge_weights=[1.0, 2.5])
-        assert g.num_edges == 1
+        assert num_edges(g) == 1
         assert g.edge_weights(0)[0] == pytest.approx(3.5)
 
     def test_self_loop_rejected(self):
@@ -113,7 +123,13 @@ class TestGridDualGraph:
     def test_edge_count_4neighbor(self):
         # (nx-1)*ny horizontal + nx*(ny-1) vertical
         g = grid_dual_graph(5, 4)
-        assert g.num_edges == 4 * 4 + 5 * 3
+        assert num_edges(g) == 4 * 4 + 5 * 3
+
+    def test_edge_count_8neighbor(self):
+        # the 4-neighbour edges plus two diagonals per interior cell
+        g = grid_dual_graph(5, 4, diagonal=True)
+        assert num_edges(g) == 4 * 4 + 5 * 3 + 2 * 4 * 3
+        assert_symmetric_without_self_loops(g)
 
     def test_interior_vertex_degree(self):
         g = grid_dual_graph(3, 3)
@@ -140,7 +156,7 @@ class TestGridDualGraph:
     def test_single_sd_grid(self):
         g = grid_dual_graph(1, 1)
         assert g.num_vertices == 1
-        assert g.num_edges == 0
+        assert num_edges(g) == 0
 
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
@@ -154,5 +170,5 @@ class TestGridDualGraph:
     @settings(max_examples=30, deadline=None)
     def test_grid_graph_always_valid_and_connected(self, nx, ny):
         g = grid_dual_graph(nx, ny)
-        g.validate()
+        assert_symmetric_without_self_loops(g)
         assert g.is_connected()

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.partition.graph import graph_from_edges, grid_dual_graph
-from repro.partition.metrics import (boundary_vertices, edge_cut,
-                                     evaluate_partition, imbalance,
-                                     num_parts_used, part_weights,
+from repro.partition.metrics import (edge_cut, evaluate_partition,
+                                     imbalance, num_parts_used, part_weights,
                                      parts_are_contiguous)
 
 
@@ -78,23 +77,6 @@ class TestContiguity:
         assert parts_are_contiguous(g, np.zeros(9, dtype=int))
 
 
-class TestBoundary:
-    def test_boundary_of_vertical_split(self):
-        g = grid_dual_graph(4, 1)
-        b = boundary_vertices(g, np.array([0, 0, 1, 1]))
-        assert list(b) == [1, 2]
-
-    def test_no_boundary_single_part(self):
-        g = grid_dual_graph(3, 3)
-        assert len(boundary_vertices(g, np.zeros(9, dtype=int))) == 0
-
-    def test_boundary_grows_with_parts(self):
-        g = grid_dual_graph(6, 6)
-        two = np.array([0 if v % 6 < 3 else 1 for v in range(36)])
-        four = np.array([(v % 6) // 2 for v in range(36)])  # 3 strips... use 2-wide
-        assert len(boundary_vertices(g, four)) >= len(boundary_vertices(g, two))
-
-
 class TestReport:
     def test_evaluate_partition_bundles_metrics(self):
         g = grid_dual_graph(4, 4)
@@ -104,5 +86,4 @@ class TestReport:
         assert rep.imbalance == pytest.approx(1.0)
         assert rep.contiguous
         assert rep.parts_used == 2
-        d = rep.as_dict()
-        assert d["edge_cut"] == 4.0 and d["k"] == 2
+        assert rep.k == 2

@@ -13,6 +13,8 @@ from repro.partition.initial import (best_bisection, grow_bisection,
 from repro.partition.metrics import edge_cut, imbalance
 from repro.partition.refine import compute_gains, fm_refine_bisection
 
+from graph_checks import assert_symmetric_without_self_loops
+
 
 class TestMatching:
     def test_matching_is_symmetric(self):
@@ -61,7 +63,17 @@ class TestContract:
         g = grid_dual_graph(6, 6)
         match = heavy_edge_matching(g, np.random.default_rng(2))
         coarse, _ = contract(g, match)
-        coarse.validate()
+        assert_symmetric_without_self_loops(coarse)
+
+    @given(nx=st.integers(2, 9), ny=st.integers(1, 9),
+           seed=st.integers(0, 100), diagonal=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_contraction_keeps_graphs_symmetric(self, nx, ny, seed,
+                                                diagonal):
+        g = grid_dual_graph(nx, ny, diagonal=diagonal)
+        match = heavy_edge_matching(g, np.random.default_rng(seed))
+        coarse, _ = contract(g, match)
+        assert_symmetric_without_self_loops(coarse)
 
     def test_cut_preserved_under_projection(self):
         """A coarse partition's cut equals the projected fine cut."""

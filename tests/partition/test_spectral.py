@@ -28,6 +28,27 @@ class TestFiedlerVector:
         assert len(f) == 144
         assert abs(f.sum()) < 1e-6
 
+    @pytest.mark.parametrize("graph", [
+        graph_from_edges(2, [(0, 1)]),
+        graph_from_edges(6, [(i, i + 1) for i in range(5)]),
+        grid_dual_graph(4, 4),
+        grid_dual_graph(5, 5, diagonal=True),  # weighted edges
+        grid_dual_graph(8, 8),                 # the dense cutoff
+        grid_dual_graph(9, 8),                 # first past it: eigsh
+    ], ids=["edge", "path6", "grid4x4", "grid5x5-diag", "grid8x8",
+            "grid9x8"])
+    def test_is_the_second_laplacian_eigenvector(self, graph):
+        n = graph.num_vertices
+        laplacian = np.zeros((n, n))
+        for v in range(n):
+            for u, w in zip(graph.neighbors(v), graph.edge_weights(v)):
+                laplacian[v, u] -= w
+                laplacian[v, v] += w
+        lam2 = np.linalg.eigvalsh(laplacian)[1]
+        f = fiedler_vector(graph)
+        np.testing.assert_allclose(laplacian @ f, lam2 * f, atol=1e-8)
+        assert np.linalg.norm(f) == pytest.approx(1.0)
+
     def test_single_vertex_rejected(self):
         with pytest.raises(ValueError):
             fiedler_vector(graph_from_edges(1, []))

@@ -26,10 +26,22 @@ class TestTraceRecorder:
         for i in range(4):
             cluster.submit(0, work=2.0, label=f"t{i}")
         cluster.run()
-        ivs = trace.intervals_of_node(0)
+        ivs = sorted(trace.intervals, key=lambda iv: iv.start)
         assert len(ivs) == 4
         for a, b in zip(ivs, ivs[1:]):
             assert b.start >= a.end - 1e-12
+
+    def test_every_task_recorded_on_its_node(self):
+        cluster = SimCluster(2, cores_per_node=1)
+        trace = TraceRecorder(cluster)
+        for i in range(6):
+            cluster.submit(i % 2, work=1.0 + i, label=f"t{i}")
+        cluster.run()
+        assert sorted((iv.node_id, iv.label) for iv in trace.intervals) == \
+            sorted((i % 2, f"t{i}") for i in range(6))
+        busy = [sum(iv.end - iv.start for iv in trace.intervals
+                    if iv.node_id == n) for n in range(2)]
+        assert busy == [pytest.approx(cluster.busy_time(n)) for n in range(2)]
 
     def test_two_cores_overlap(self):
         cluster = SimCluster(1, cores_per_node=2)
@@ -37,7 +49,7 @@ class TestTraceRecorder:
         cluster.submit(0, work=4.0, label="a")
         cluster.submit(0, work=4.0, label="b")
         cluster.run()
-        ivs = trace.intervals_of_node(0)
+        ivs = trace.intervals
         assert ivs[0].start == ivs[1].start == 0.0
 
     def test_recording_does_not_change_schedule(self):

@@ -1,5 +1,7 @@
 """End-to-end service runs: accounting, determinism, overload, parity."""
 
+import json
+
 import pytest
 
 from repro.experiments import (SCHEMA, ClusterSpec, RunRecord, build,
@@ -86,7 +88,7 @@ class TestDeterminism:
 
     def test_record_round_trips_through_json(self):
         rec = run_service(_spec())
-        clone = RunRecord.from_json(rec.to_json())
+        clone = RunRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
         assert clone == rec
         assert clone.service_events
         assert summarize_record(clone) == summarize_record(rec)

@@ -99,11 +99,6 @@ class TestServiceSpec:
             _spec(tenants=(TenantSpec(name="tiny", nx=2),),
                   cluster=ClusterSpec(num_nodes=4))
 
-    def test_tenant_rate_splits_by_weight(self):
-        spec = _spec()
-        assert spec.tenant_rate(0) == pytest.approx(1000.0 / 3)
-        assert spec.tenant_rate(1) == pytest.approx(2000.0 / 3)
-
     def test_replace_revalidates(self):
         with pytest.raises(ValueError, match="horizon"):
             _spec().replace(horizon=0.0)

@@ -10,7 +10,6 @@ from repro.solver.exact import (ManufacturedProblem, interior_multiplier,
                                 step_error, total_error)
 from repro.solver.model import (NonlocalHeatModel, constant_influence,
                                 gaussian_influence, linear_influence)
-from repro.solver.serial import solve_manufactured
 
 from oracles import continuum_integral_oaconvolve
 
@@ -146,20 +145,20 @@ class TestErrorNorms:
 
 
 class TestManufacturedSolve:
-    def test_discrete_mode_error_is_time_error_only(self):
+    def test_discrete_mode_error_is_time_error_only(self, solve_manufactured):
         """With the discrete source, the error is tiny (O(dt))."""
         res = solve_manufactured(24, eps_factor=3, num_steps=10,
                                  source_mode="discrete")
         assert res.total_error < 1e-6
 
-    def test_discrete_mode_error_shrinks_with_dt(self):
+    def test_discrete_mode_error_shrinks_with_dt(self, solve_manufactured):
         a = solve_manufactured(16, eps_factor=2, num_steps=4,
                                dt=1e-4, source_mode="discrete")
         b = solve_manufactured(16, eps_factor=2, num_steps=8,
                                dt=5e-5, source_mode="discrete")
         assert b.total_error < a.total_error
 
-    def test_continuum_mode_error_decreases_with_h(self):
+    def test_continuum_mode_error_decreases_with_h(self, solve_manufactured):
         """The headline property of the paper's Fig. 8."""
         errors = [solve_manufactured(n, eps_factor=2, num_steps=5,
                                      source_mode="continuum").total_error
@@ -167,7 +166,7 @@ class TestManufacturedSolve:
         assert errors[1] < errors[0]
         assert errors[2] < errors[1]
 
-    def test_1d_manufactured_solve(self):
+    def test_1d_manufactured_solve(self, solve_manufactured):
         res = solve_manufactured(32, eps_factor=3, num_steps=5,
                                  source_mode="discrete", dim=1)
         assert res.total_error < 1e-6

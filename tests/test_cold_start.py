@@ -40,8 +40,16 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 
-def test_import_loads_no_scipy_module():
-    out = run_fresh("import repro, repro.experiments, repro.cli\n" + _LOADED)
+@pytest.mark.parametrize("code", [
+    "import repro, repro.experiments, repro.cli",
+    # at most 64 vertices: the Laplacian is built dense, no scipy.sparse
+    "from repro.partition import grid_dual_graph, spectral_partition\n"
+    "spectral_partition(grid_dual_graph(4, 4), 4)",
+    "from repro.partition import grid_dual_graph, spectral_bisection\n"
+    "spectral_bisection(grid_dual_graph(8, 8))",
+], ids=["import", "small_spectral_partition", "spectral_at_dense_cutoff"])
+def test_loads_no_scipy_module(code):
+    out = run_fresh(code + "\n" + _LOADED)
     assert json.loads(out) == []
 
 
