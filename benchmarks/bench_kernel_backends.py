@@ -8,9 +8,10 @@ on a ghost-padded SD block (the distributed/async solvers' path).
 Acceptance criterion (ISSUE 2): at ``eps = 8h``, ``nx = ny = 256`` the
 FFT or sparse backend must beat the direct backend by >= 2x on apply
 throughput.  Measured on the development container the FFT backend's
-precomputed mask transform wins by an order of magnitude; the sparse
-backend roughly breaks even on the full grid (its CSR matvec streams
-19M non-zeros) and exists for explicit-matrix use cases.
+precomputed mask transform wins by 3x or more; the sparse backend is
+slower than direct on the full grid (its CSR matvecs, one per 64x64
+output tile, stream 19M non-zeros) and exists for explicit-matrix use
+cases.
 
 One-time setup (stencil assembly + per-shape state: mask FFT / CSR
 matrix) is reported separately — a time-stepper amortizes it over the

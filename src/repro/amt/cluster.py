@@ -6,9 +6,9 @@ both
 
 * a **work amount** (abstract work units, e.g. DP-updates × stencil size)
   that determines how long the task occupies a simulated core, and
-* an optional **action** (a real Python callable, typically a NumPy
-  kernel) that executes when the task completes, so the distributed solver
-  produces genuinely correct temperatures while the clock is virtual.
+* an optional **action** (a real Python callable) that executes when
+  the task completes; the task's future resolves with its return value,
+  as an ``hpx::async`` future does.
 
 Nodes have a bounded core count and a per-core speed *trace* (work units
 per virtual second, possibly time-varying — that is how heterogeneous and

@@ -84,10 +84,6 @@ class Future:
         """Return ``True`` once a value or exception has been stored."""
         return self._state != _PENDING
 
-    def has_exception(self) -> bool:
-        """Return ``True`` if the future completed with an exception."""
-        return self._state == _EXCEPTIONAL
-
     def get(self) -> Any:
         """Return the value, or raise the stored exception.
 

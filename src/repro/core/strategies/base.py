@@ -351,12 +351,13 @@ class BalanceStrategy:
             # is conserved even when the active set shrinks or grows
             scale = mean_sd_work if mean_sd_work > 0 else 1.0
             residual = np.zeros(num_nodes)
-            if active is None:
-                targets = integer_targets(expected / scale) * scale
-                residual[:] = targets - node_load
-            else:
-                targets = integer_targets(expected[active] / scale) * scale
-                residual[active] = targets - node_load[active]
+            live = slice(None) if active is None else active
+            # every live node within one SD of its share already holds
+            # its floor or ceil: that is a valid rounding, and moving
+            # SDs would only swap it for another one
+            if not np.all(np.abs(imbalance[live]) < scale):
+                targets = integer_targets(expected[live] / scale) * scale
+                residual[live] = targets - node_load[live]
         else:
             residual = imbalance.copy()
             if active is not None:

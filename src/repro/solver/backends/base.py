@@ -16,9 +16,10 @@ Two entry points cover every solver in the repository:
 * :meth:`KernelBackend.apply_full` — ``L(u)`` over a whole grid
   (mode ``same``), used by the serial solver and the manufactured
   source;
-* :meth:`KernelBackend.apply_padded` — ``L(u)`` for one SD block given
-  its ghost-padded neighborhood (mode ``valid``), the hot path of the
-  async and distributed solvers.
+* :meth:`KernelBackend.apply_padded` — ``L(u)`` for the interior of a
+  padded array (mode ``valid``): one SD block with its ghosts, or the
+  whole field with a zero rim, as the distributed solver applies it
+  once per step.
 
 All backends must agree with :func:`apply_operator_reference` — an
 independent shifted-slice implementation kept free of ``scipy`` — to
@@ -102,8 +103,7 @@ class ConvolutionKernelBackend(KernelBackend):
         """Linear convolution restricted to fully overlapping offsets."""
 
     def apply_full(self, u: np.ndarray) -> np.ndarray:
-        conv = self._convolve_same(u)
-        return self.scale * (conv - self.stencil.weight_sum * u)
+        return self._finish(self._convolve_same(u), u)
 
     def apply_padded(self, padded: np.ndarray) -> np.ndarray:
         r = self.stencil.radius
@@ -113,7 +113,19 @@ class ConvolutionKernelBackend(KernelBackend):
             # valid convolution; cut the y halo explicitly (1-D model)
             conv = conv[r:-r, :]
         core = padded[r:-r, r:-r] if r > 0 else padded
-        return self.scale * (conv - self.stencil.weight_sum * core)
+        return self._finish(conv, core)
+
+    def _finish(self, conv: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``scale * (conv - S u)`` in one new array.
+
+        The same IEEE results as the expression (negation is exact and
+        addition and multiplication commute), without its full-size
+        temporaries.
+        """
+        out = u * -self.stencil.weight_sum
+        out += conv
+        out *= self.scale
+        return out
 
 
 def apply_operator_reference(stencil: NonlocalStencil, scale: float,

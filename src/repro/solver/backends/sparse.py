@@ -1,16 +1,22 @@
-"""Sparse-matrix backend: the whole operator as one cached CSR matvec.
+"""Sparse-matrix backend: the operator as cached CSR matvecs over tiles.
 
 The operator is linear, so ``L(u) = A u`` for an explicit matrix that
 folds the convolution weights, the ``-S`` diagonal, and the ``c V``
 scale into one CSR apply.  Matrices are assembled vectorized (one COO
-slab per mask offset) and cached per input shape — a time-stepper pays
+slab per mask offset) and cached per tile shape — a time-stepper pays
 the assembly once and then runs pure ``csr_matvec``.
 
-This is the backend of choice when an explicit matrix is wanted anyway
-(cross-validation, spectral analysis); for raw throughput on large
-grids the FFT backend wins, which is why ``auto`` never selects sparse
-(see ``registry.auto_backend_name``).  ``scipy.sparse`` is imported by
-the first assembly, so only runs that pick this backend load it.
+One matrix per whole grid would grow with the grid (a 512^2 field takes
+gigabytes), so every apply is cut into output tiles of at most
+``_TILE x _TILE`` DPs, each reading its own radius-wide rim of a
+zero-padded input; equal-shaped tiles share one matrix.  A full-grid
+apply is the padded apply of the zero-extended field (the ``Dc``
+condition).
+
+For raw throughput on large grids the FFT backend wins, which is why
+``auto`` never selects sparse (see ``registry.auto_backend_name``).
+``scipy.sparse`` is imported by the first assembly, so only runs that
+pick this backend load it.
 """
 
 from __future__ import annotations
@@ -27,17 +33,21 @@ if TYPE_CHECKING:
 
 __all__ = ["SparseBackend"]
 
-#: Per-instance cap on cached matrices (full grids and padded blocks).
+#: Per-instance cap on cached tile matrices.
 _MAX_MATRICES = 16
+
+#: Edge of the output tiles an apply is cut into: a matrix maps at most
+#: ``_TILE**2`` outputs.
+_TILE = 64
 
 
 @register_backend("sparse")
 class SparseBackend(KernelBackend):
-    """Precomputed CSR apply, cached per (kind, shape)."""
+    """Precomputed CSR applies, cached per padded tile shape."""
 
     def __init__(self, stencil, scale) -> None:
         super().__init__(stencil, scale)
-        self._matrices: Dict[Tuple[str, int, int], sp.csr_matrix] = {}
+        self._matrices: Dict[Tuple[int, int], sp.csr_matrix] = {}
 
     # -- assembly ----------------------------------------------------------
     def _offsets(self):
@@ -58,36 +68,6 @@ class SparseBackend(KernelBackend):
             A = build()
             self._matrices[key] = A
         return A
-
-    def _full_matrix(self, shape: Tuple[int, int]) -> sp.csr_matrix:
-        """``A`` with ``L(u).ravel() = A @ u.ravel()`` (zero extension)."""
-        def build():
-            import scipy.sparse as sp
-            ny, nx = shape
-            n = ny * nx
-            idx = np.arange(n).reshape(ny, nx)
-            rows, cols, vals = [], [], []
-            for dy, dx, w in self._offsets():
-                # conv[i] += w * u[i - d]; clip to the array (Dc = 0)
-                y0, y1 = max(0, dy), ny + min(0, dy)
-                x0, x1 = max(0, dx), nx + min(0, dx)
-                if y0 >= y1 or x0 >= x1:
-                    continue
-                dst = idx[y0:y1, x0:x1].ravel()
-                src = idx[y0 - dy:y1 - dy, x0 - dx:x1 - dx].ravel()
-                rows.append(dst)
-                cols.append(src)
-                vals.append(np.full(dst.size, w))
-            diag = np.arange(n)
-            rows.append(diag)
-            cols.append(diag)
-            vals.append(np.full(n, -self.stencil.weight_sum))
-            A = sp.coo_matrix(
-                (self.scale * np.concatenate(vals),
-                 (np.concatenate(rows), np.concatenate(cols))),
-                shape=(n, n))
-            return A.tocsr()
-        return self._cache(("full",) + tuple(shape), build)
 
     def _padded_matrix(self, pshape: Tuple[int, int]) -> sp.csr_matrix:
         """``A`` mapping a ghost-padded block to its interior update.
@@ -118,15 +98,22 @@ class SparseBackend(KernelBackend):
                  (np.concatenate(rows), np.concatenate(cols))),
                 shape=(oy * ox, py * px))
             return A.tocsr()
-        return self._cache(("padded",) + tuple(pshape), build)
+        return self._cache(tuple(pshape), build)
 
     # -- applies -----------------------------------------------------------
     def apply_full(self, u: np.ndarray) -> np.ndarray:
-        A = self._full_matrix(u.shape)
-        return (A @ u.reshape(-1)).reshape(u.shape)
+        return self.apply_padded(np.pad(u, self.stencil.radius))
 
     def apply_padded(self, padded: np.ndarray) -> np.ndarray:
         r = self.stencil.radius
-        out_shape = (padded.shape[0] - 2 * r, padded.shape[1] - 2 * r)
-        A = self._padded_matrix(padded.shape)
-        return (A @ padded.reshape(-1)).reshape(out_shape)
+        oy, ox = padded.shape[0] - 2 * r, padded.shape[1] - 2 * r
+        out = np.empty((oy, ox))
+        for y0 in range(0, oy, _TILE):
+            h = min(_TILE, oy - y0)
+            for x0 in range(0, ox, _TILE):
+                w = min(_TILE, ox - x0)
+                tile = padded[y0:y0 + h + 2 * r, x0:x0 + w + 2 * r]
+                A = self._padded_matrix(tile.shape)
+                out[y0:y0 + h, x0:x0 + w] = (
+                    A @ tile.reshape(-1)).reshape(h, w)
+        return out

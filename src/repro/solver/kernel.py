@@ -15,8 +15,8 @@ pluggable *kernel backend* (:mod:`repro.solver.backends`) — dense
 convolution, precomputed-FFT, or cached sparse matvec — selected by
 name (default ``"auto"``: radius heuristic).  It exposes
 :meth:`~NonlocalOperator.apply` for the full grid and
-:meth:`~NonlocalOperator.apply_block` for SD-local application on a
-padded (ghost-augmented) block.
+:meth:`~NonlocalOperator.apply_block` for application on a padded
+block (an SD with its ghosts, or the whole field with a zero rim).
 """
 
 from __future__ import annotations
@@ -121,12 +121,13 @@ class NonlocalOperator:
         return self.backend.apply_full(u)
 
     def apply_block(self, padded: np.ndarray, radius: Optional[int] = None) -> np.ndarray:
-        """``L(u)`` on an SD block given its ghost-padded neighborhood.
+        """``L(u)`` on a block given its padded neighborhood.
 
         ``padded`` must extend the target block by the stencil radius on
         every side (ghost values from neighbouring SDs, zeros where the
-        halo leaves the domain).  Returns the update for the interior
-        block only (shape reduced by ``2*radius`` per axis).
+        halo leaves the domain; the whole field padded with zeros is the
+        distributed solver's per-step case).  Returns the update for the
+        interior block only (shape reduced by ``2*radius`` per axis).
         """
         r = self.radius if radius is None else radius
         if r != self.radius:

@@ -12,6 +12,10 @@ def _ready(value=None):
     return fut
 
 
+def _has_exception(fut):
+    return fut.is_ready() and fut._exception is not None
+
+
 def _failed(exc):
     fut = Future()
     fut._set_exception(exc)
@@ -22,7 +26,7 @@ class TestFuture:
     def test_not_ready_initially(self):
         fut = Future()
         assert not fut.is_ready()
-        assert not fut.has_exception()
+        assert not _has_exception(fut)
 
     def test_none_is_a_value(self):
         fut = Future()
@@ -31,7 +35,7 @@ class TestFuture:
         assert fut.get() is None
 
     def test_value_future_has_no_exception(self):
-        assert not _ready(3).has_exception()
+        assert not _has_exception(_ready(3))
 
     def test_resolved_future_rejects_either_fulfilment(self):
         done, failed = _ready(1), _failed(KeyError("k"))
@@ -62,7 +66,7 @@ class TestFuture:
         fut._add_callback(lambda f: got.append(f.get()))
         fut._set_value(41)
         assert fut.is_ready() and fut.get() == 41
-        assert not fut.has_exception()
+        assert not _has_exception(fut)
         assert got == [41]
         # late callbacks run immediately
         fut._add_callback(lambda f: got.append(f.get() + 1))
@@ -82,7 +86,7 @@ class TestFuture:
     def test_exception_path(self):
         fut = Future()
         fut._set_exception(ValueError("boom"))
-        assert fut.is_ready() and fut.has_exception()
+        assert fut.is_ready() and _has_exception(fut)
         with pytest.raises(ValueError, match="boom"):
             fut.get()
 
@@ -123,7 +127,7 @@ class TestWhenAll:
     def test_exceptional_input_still_completes(self):
         combined = when_all([_ready(1), _failed(ValueError())])
         assert combined.is_ready()
-        assert combined.get()[1].has_exception()
+        assert _has_exception(combined.get()[1])
 
     def test_repeated_input_counts_each_occurrence(self):
         fut = Future()

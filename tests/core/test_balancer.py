@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.policy import IntervalPolicy, NeverBalance, ThresholdPolicy
-from repro.core.strategies import make_strategy
+from repro.core.strategies import make_strategy, strategy_names
 from repro.mesh.subdomain import SubdomainGrid
 from repro.partition.graph import grid_dual_graph
 from repro.partition.metrics import parts_are_contiguous
@@ -116,6 +116,21 @@ class TestBalanceStep:
         sg, lb = make()
         res = lb.balance_step(np.zeros(16, dtype=int), 1, busy_times=[5.0])
         assert res.sds_moved == 0
+
+    @pytest.mark.parametrize("strategy", strategy_names())
+    def test_valid_rounding_moves_nothing(self, strategy):
+        """Every node already holds the floor or ceil of its expected
+        share, so a step would only trade one valid rounding for another
+        (``tree`` used to move 3 SDs here, to ``[16, 17, 16, 15]``)."""
+        sg = SubdomainGrid(32, 32, 8, 8)
+        from repro.partition.geometric import block_partition
+        parts = block_partition(8, 8, 4)
+        assert np.bincount(parts).tolist() == [16] * 4
+        speeds = np.array([2.875, 2.9375, 2.7578125, 2.7578125])
+        res = make_strategy(strategy, sg).balance_step(
+            parts, 4, busy_times=16 / speeds)
+        assert res.sds_moved == 0
+        assert not res.triggered
 
     @given(speeds=st.lists(st.floats(0.5, 8.0), min_size=2, max_size=4))
     @settings(max_examples=30, deadline=None)

@@ -7,7 +7,10 @@ paper's equations by eye, not to be fast.
   (eq. 5), built one DP at a time;
 * :func:`continuum_integral_oaconvolve` — the manufactured source's ball
   integral (Sec. 3.2, eq. 6) as a ``same`` convolution of the whole
-  refined field, sampled at the coarse DPs.
+  refined field, sampled at the coarse DPs;
+* :func:`apply_by_subdomain` — ``L(u)`` assembled SD by SD, each from
+  its halo copied into a zero-padded block, as an SD task on a real
+  distributed machine would compute it.
 """
 
 import numpy as np
@@ -91,3 +94,27 @@ def continuum_integral_oaconvolve(model: NonlocalHeatModel, grid: UniformGrid,
         idy = np.arange(grid.ny) * q + (q - 1) // 2
         sampled = integral_fine[np.ix_(idy, idx)]
     return model.c * sampled
+
+
+def apply_by_subdomain(operator, sd_grid, u: np.ndarray,
+                       sds=None) -> np.ndarray:
+    """``L(u)`` assembled from one ``apply_block`` per SD.
+
+    Each SD copies its halo (:meth:`SubdomainGrid.halo_rect`: its
+    rectangle grown by the stencil radius and clipped to the mesh) into
+    a block padded by the radius on every side; what the halo leaves
+    uncovered stays zero, the ``Dc`` condition.  ``sds`` restricts the
+    assembly to those SDs; the others stay zero in the result.
+    """
+    R = operator.radius
+    out = np.zeros_like(u)
+    for sd in range(sd_grid.num_subdomains) if sds is None else sds:
+        rect = sd_grid.rect(sd)
+        halo = sd_grid.halo_rect(sd, R)
+        padded = np.zeros((rect.height + 2 * R, rect.width + 2 * R))
+        dy0 = halo.y0 - (rect.y0 - R)
+        dx0 = halo.x0 - (rect.x0 - R)
+        padded[dy0:dy0 + halo.height,
+               dx0:dx0 + halo.width] = u[halo.slices()]
+        out[rect.slices()] = operator.apply_block(padded)
+    return out

@@ -7,6 +7,8 @@ orientation), radii, block shapes, non-square grids and the 1-D
 single-row-mask path.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,45 @@ class TestPropertyEquivalence:
         tol = 1e-12 * max(1.0, np.abs(results[0]).max())
         for name, got in zip(ALL_BACKENDS[1:], results[1:]):
             assert np.abs(got - results[0]).max() <= tol, name
+
+
+class TestSparseTiling:
+    """The sparse backend cuts every apply into bounded output tiles."""
+
+    @given(radius=st.integers(1, 3),
+           single_row=st.booleans(),
+           tile=st.integers(1, 5),
+           oh=st.integers(1, 13),
+           ow=st.integers(1, 13),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_tiled_apply_matches_reference(self, radius, single_row, tile,
+                                           oh, ow, seed):
+        from repro.solver.backends import sparse
+        rng = np.random.default_rng(seed)
+        stencil = random_stencil(rng, radius, single_row=single_row)
+        padded = rng.standard_normal(((1 if single_row else oh) + 2 * radius,
+                                      ow + 2 * radius))
+        expected = reference_padded(stencil, 0.7, padded)
+        with mock.patch.object(sparse, "_TILE", tile):
+            got = make_backend("sparse", stencil, 0.7).apply_padded(padded)
+        tol = 1e-12 * max(1.0, np.abs(expected).max())
+        assert np.abs(got - expected).max() <= tol
+
+    def test_cached_matrices_stay_within_one_tile(self):
+        from repro.solver.backends.sparse import _TILE
+        rng = np.random.default_rng(11)
+        stencil = random_stencil(rng, 2)
+        backend = make_backend("sparse", stencil, 1.0)
+        u = rng.standard_normal((3 * _TILE + 5, 2 * _TILE + 1))
+        expected = apply_operator_reference(stencil, 1.0, u)
+        got = backend.apply_full(u)
+        assert np.abs(got - expected).max() <= (
+            1e-12 * max(1.0, np.abs(expected).max()))
+        # interior, right-edge, bottom-edge and corner tiles
+        assert len(backend._matrices) == 4
+        for A in backend._matrices.values():
+            assert A.shape[0] <= _TILE * _TILE
 
 
 class TestReferenceOracle:

@@ -2,17 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import apply_by_subdomain
 
 from repro.amt.cluster import ConstantSpeed
 from repro.amt.topology import FlatTopology
 from repro.core.policy import IntervalPolicy
 from repro.core.strategies import (auto_strategy_name, make_strategy,
                                    strategy_names)
+from repro.mesh.domain import DomainMask
 from repro.mesh.grid import UniformGrid
 from repro.mesh.subdomain import SubdomainGrid
 from repro.partition.geometric import block_partition
+from repro.solver.backends import backend_names
 from repro.solver.distributed import DistributedSolver
 from repro.solver.exact import ManufacturedProblem
+from repro.solver.kernel import NonlocalOperator
 from repro.solver.model import NonlocalHeatModel
 from repro.solver.serial import SerialSolver
 
@@ -414,14 +420,79 @@ class TestFailurePropagation:
         with pytest.raises(RuntimeError, match="sensor died"):
             dsol.run(prob.initial_condition(), 4)
 
-    def test_action_exception_inside_task(self):
+    def test_operator_exception_surfaces(self):
+        """A failing step apply aborts the run with its own exception."""
         grid, model, prob, sg = setup()
         dsol = DistributedSolver(model, grid, sg, block_partition(4, 4, 2),
                                  num_nodes=2, source=prob.source, dt=1e-5)
-        # sabotage the operator so every SD kernel raises
-        dsol.operator.apply_block = None  # type: ignore[assignment]
-        with pytest.raises(RuntimeError, match="SD kernel failed"):
+        boom = FloatingPointError("kernel blew up")
+
+        def apply_block(padded):
+            raise boom
+
+        dsol.operator.apply_block = apply_block
+        with pytest.raises(FloatingPointError) as info:
             dsol.run(prob.initial_condition(), 1)
+        assert info.value is boom
+
+
+class TestStepApply:
+    """A step's temperatures come from one whole-field apply at the step
+    barrier; the per-SD assembly it replaces stays the oracle."""
+
+    @given(dim=st.sampled_from([1, 2]),
+           radius=st.integers(1, 4),
+           mesh=st.tuples(st.integers(4, 20), st.integers(4, 20)),
+           sd_axes=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+           backend=st.sampled_from(backend_names()),
+           active_bits=st.integers(0, 2 ** 25 - 1),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_subdomain_blocks_equal_one_padded_apply(
+            self, dim, radius, mesh, sd_axes, backend, active_bits, seed):
+        nx, ny = mesh if dim == 2 else (mesh[0], 1)
+        sd_nx = min(sd_axes[0], nx)
+        sd_ny = min(sd_axes[1], ny)
+        grid = UniformGrid(nx, ny, dim=dim)
+        model = NonlocalHeatModel(epsilon=radius * grid.h, dim=dim)
+        op = NonlocalOperator(model, grid, backend=backend)
+        sg = SubdomainGrid(nx, ny, sd_nx, sd_ny)
+        active = np.array([(active_bits >> sd) & 1 == 1
+                           for sd in range(sg.num_subdomains)])
+        active[seed % sg.num_subdomains] = True
+        mask = DomainMask(sg, active)
+        u = np.random.default_rng(seed).standard_normal(grid.shape)
+        u[~mask.dp_mask()] = 0.0  # inactive SDs hold the Dc zero
+        R = op.radius
+        whole = op.apply_block(np.pad(u, R))
+        blocks = apply_by_subdomain(op, sg, u, sds=mask.active_sds())
+        inside = mask.dp_mask()
+        np.testing.assert_allclose(blocks[inside], whole[inside],
+                                   rtol=1e-12,
+                                   atol=1e-12 * np.abs(whole).max())
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_one_apply_per_step(self, overlap, monkeypatch):
+        grid, model, prob, sg = setup()
+        dsol = DistributedSolver(model, grid, sg, block_partition(4, 4, 3),
+                                 num_nodes=3, source=prob.source,
+                                 overlap=overlap)
+        calls = []
+        apply_block = dsol.operator.apply_block
+        monkeypatch.setattr(dsol.operator, "apply_block",
+                            lambda padded: calls.append(padded.shape)
+                            or apply_block(padded))
+        dsol.run(prob.initial_condition(), 5)
+        R = dsol.operator.radius
+        assert calls == [(grid.ny + 2 * R, grid.nx + 2 * R)] * 5
+
+    def test_schedule_only_run_applies_nothing(self, monkeypatch):
+        grid, model, prob, sg = setup()
+        dsol = DistributedSolver(model, grid, sg, block_partition(4, 4, 2),
+                                 num_nodes=2, compute_numerics=False)
+        monkeypatch.setattr(dsol.operator, "apply_block",
+                            lambda padded: pytest.fail("applied"))
+        dsol.run(None, 3)
 
 
 class TestDerivedCountersWithoutEvents:
