@@ -745,7 +745,9 @@ class SimCluster:
         path only *one* delivery event is scheduled, at the latest
         arrival time, which is exactly when the barrier over the
         individual deliveries would fire.  Falls back to the per-message
-        form when wave batching is off.
+        form when wave batching is off.  The distributed solver calls it
+        once per consumer SD (that SD's halo), the service manager once
+        per job exchange.
 
         With ``callback`` (zero-arg) the barrier future is skipped: the
         callback runs where it would have resolved — synchronously when

@@ -175,7 +175,7 @@ class Simulator:
         self._running = False
         self._run_until: Optional[float] = None
         #: priority of the event being executed; ``+inf`` outside
-        #: :meth:`run`/:meth:`step`, so a reader outside the loop ranks
+        #: :meth:`run`, so a reader outside the loop ranks
         #: after every same-time event (the cluster's done rule reads it)
         self._priority: float = math.inf
         self._processed = 0
@@ -241,7 +241,7 @@ class Simulator:
 
     # -- execution -----------------------------------------------------------
     def _execute(self, ev: Event) -> None:
-        # the caller (run/step) restores ``_priority`` to +inf on exit
+        # the caller (run) restores ``_priority`` to +inf on exit
         self._priority = ev.priority
         profile = self.profile
         if profile is None:
@@ -255,21 +255,6 @@ class Simulator:
             profile[ev.klass or "event"] = cell = [0, 0.0]
         cell[0] += 1
         cell[1] += dt
-
-    def step(self) -> bool:
-        """Execute the next pending event; return ``False`` if none remain."""
-        entry = self._queue.peek()
-        if entry is None:
-            return False
-        self._queue.pop_front()
-        ev = entry[3]
-        self._now = ev.time
-        self._processed += 1
-        try:
-            self._execute(ev)
-        finally:
-            self._priority = math.inf
-        return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Drain the event queue; return the final virtual time.
@@ -327,10 +312,6 @@ class Simulator:
             self._run_until = None
             self._priority = math.inf
         return self._now
-
-    def pending(self) -> int:
-        """Number of not-yet-cancelled events still queued (O(1))."""
-        return self._queue.live
 
     # -- profiling ---------------------------------------------------------
     def profile_report(self) -> str:

@@ -62,6 +62,10 @@ class Future:
     * ``_group`` — ``None`` until observed; then either the single
       :func:`when_all` barrier subscribed to this future, or the
       :data:`_MULTI` sentinel once any other observer appears.
+      Resolution clears it again once the callbacks have run: a
+      resolved future never joins a wave, and a barrier tag left in
+      place would close a reference cycle (the barrier's value lists
+      its inputs), which only the cyclic collector could free.
     * ``_wave`` — set by the cluster while this future sits *inside* a
       formed wave whose end it does not terminate; called (zero-arg) the
       moment a new subscriber attaches, which reverts the wave to
@@ -141,6 +145,7 @@ class Future:
         self._callbacks = []
         for cb in callbacks:
             cb(self)
+        self._group = None
 
     def _set_exception(self, exc: BaseException) -> None:
         if self._state != _PENDING:
@@ -151,6 +156,7 @@ class Future:
         self._callbacks = []
         for cb in callbacks:
             cb(self)
+        self._group = None
 
 
 def when_all(futures: Iterable[Future]) -> Future:

@@ -355,6 +355,9 @@ class JobManager:
         self.cluster.send_group(template.ghosts, callback=job.on_ghosts)
 
     def _finish(self, job: _Job) -> None:
+        # each continuation closes over its job: drop them so the
+        # finished job is freed by reference counting, not the collector
+        job.on_sweep = job.on_ghosts = None
         now = self.cluster.now
         self.events.finish(now, job.tenant, job.index,
                            job.start_time - job.arrival_time,

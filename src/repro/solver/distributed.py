@@ -125,16 +125,17 @@ class _StepPlan:
     bit-identical to rebuilt ones.
     """
 
-    __slots__ = ("messages", "ghost_sds", "tasks")
+    __slots__ = ("ghost_runs", "tasks")
 
-    def __init__(self, messages: List[Tuple[int, int, int]],
-                 ghost_sds: List[int], tasks: List[tuple]) -> None:
-        #: ``(src_node, dst_node, nbytes)`` per ghost message, in
-        #: ``Decomposition.ghost_messages`` order, active SDs only
-        #: (the batched-send input, see ``SimCluster.send_many``)
-        self.messages = messages
-        #: destination SD of each message, parallel to ``messages``
-        self.ghost_sds = ghost_sds
+    def __init__(self,
+                 ghost_runs: List[Tuple[int, List[Tuple[int, int, int]]]],
+                 tasks: List[tuple]) -> None:
+        #: ``(dst_sd, messages)`` per consumer SD, in SD order:
+        #: ``messages`` is that SD's contiguous run of ``(src_node,
+        #: dst_node, nbytes)`` ghost messages in
+        #: ``Decomposition.ghost_messages`` order, active SDs only (one
+        #: ``SimCluster.send_group`` input per consumer)
+        self.ghost_runs = ghost_runs
         #: per active SD, in SD order: ``(sd, node, w2, w1)`` with the
         #: overlap split (``None`` marks an empty case), or
         #: ``(sd, node, w_total)`` without overlap
@@ -492,15 +493,16 @@ class DistributedSolver:
 
         # ghost messages; with a domain mask, inactive SDs are
         # known-zero (the Dc condition) so no message involving them
-        # is needed
-        messages: List[Tuple[int, int, int]] = []
-        ghost_sds: List[int] = []
+        # is needed.  ghost_messages is ordered by destination SD, so
+        # each consumer's messages form one contiguous run
+        ghost_runs: List[Tuple[int, List[Tuple[int, int, int]]]] = []
         for msg in decomp.ghost_messages(R):
             if self._active is not None and not (
                     self._active[msg.src_sd] and self._active[msg.dst_sd]):
                 continue
-            messages.append((msg.src_node, msg.dst_node, msg.nbytes))
-            ghost_sds.append(msg.dst_sd)
+            if not ghost_runs or ghost_runs[-1][0] != msg.dst_sd:
+                ghost_runs.append((msg.dst_sd, []))
+            ghost_runs[-1][1].append((msg.src_node, msg.dst_node, msg.nbytes))
 
         # per-SD work amounts (inactive SDs run nothing)
         tasks: List[tuple] = []
@@ -519,7 +521,7 @@ class DistributedSolver:
                 w1 = (cost.task_work(self._work_item(sd, split.case1_count, wf))
                       if split.case1_count > 0 else None)
                 tasks.append((sd, node, w2, w1))
-        return _StepPlan(messages, ghost_sds, tasks)
+        return _StepPlan(ghost_runs, tasks)
 
     def _start_step(self, step: int) -> None:
         self._current_step = step
@@ -528,12 +530,11 @@ class DistributedSolver:
         if plan is None:
             plan = self._plan = self._build_plan()
 
-        # 1. ghost messages, batched through the network, grouped by
-        # destination SD
-        deps_of_sd: Dict[int, List[Future]] = {}
-        for dst_sd, fut in zip(plan.ghost_sds,
-                               self.cluster.send_many(plan.messages)):
-            deps_of_sd.setdefault(dst_sd, []).append(fut)
+        # 1. ghost messages: one barrier future per consumer SD, whose
+        # single delivery event fires at the run's latest arrival
+        send_group = self.cluster.send_group
+        ghosts_of_sd: Dict[int, List[Future]] = {
+            sd: [send_group(run)] for sd, run in plan.ghost_runs}
 
         # 2./3. per-SD tasks.  With spawn overhead, a node's i-th task
         # of the step only becomes runnable after i * overhead — the
@@ -551,7 +552,7 @@ class DistributedSolver:
             for sd, node, w in plan.tasks:
                 sd_futures.append(self.cluster.submit(
                     node, work=w,
-                    deps=deps_of_sd.get(sd, []) + spawn_deps(node),
+                    deps=ghosts_of_sd.get(sd, []) + spawn_deps(node),
                     label=f"sd{sd}", tag=sd))
         else:
             for sd, node, w2, w1 in plan.tasks:
@@ -562,7 +563,7 @@ class DistributedSolver:
                 if w1 is not None:
                     sd_futures.append(self.cluster.submit(
                         node, work=w1,
-                        deps=deps_of_sd.get(sd, []) + spawn_deps(node),
+                        deps=ghosts_of_sd.get(sd, []) + spawn_deps(node),
                         label=f"sd{sd}-c1", tag=sd))
 
         when_all(sd_futures)._add_callback(

@@ -72,13 +72,13 @@ class TestScheduling:
         sim.run()
         assert fired == ["b"]
 
-    def test_pending_counts_noncancelled(self):
+    def test_live_count_skips_cancelled(self):
         sim = Simulator()
         ev = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        assert sim.pending() == 2
+        assert sim._queue.live == 2
         ev.cancel()
-        assert sim.pending() == 1
+        assert sim._queue.live == 1
 
 
 class TestRunControls:
@@ -133,16 +133,6 @@ class TestRunControls:
         sim.schedule(0.0, forever)
         with pytest.raises(SimulationError, match="max_events"):
             sim.run(max_events=100)
-
-    def test_step_executes_one_event(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: fired.append(1))
-        sim.schedule(2.0, lambda: fired.append(2))
-        assert sim.step()
-        assert fired == [1]
-        assert sim.step()
-        assert not sim.step()
 
     def test_events_processed_counter(self):
         sim = Simulator()

@@ -78,18 +78,23 @@ class TestPopOrder:
 
     @given(_specs, st.integers(min_value=2, max_value=5))
     @settings(max_examples=40, deadline=None)
-    def test_step_pops_in_key_order(self, specs, cancel_every):
-        """``step()`` drives the queue outside ``run``'s loop; it must
-        see the same order and skip the same cancelled entries."""
+    def test_one_event_runs_pop_in_key_order(self, specs, cancel_every):
+        """``run(max_events=1)`` windows drive the queue one event at a
+        time; they must see the same order and skip the same cancelled
+        entries."""
         sim, fired = Simulator(), []
         events = [_schedule(sim, fired, t, prio) for t, prio in specs]
         for ev in events[::cancel_every]:
             ev.cancel()
-        while sim.step():
+        while sim._queue.live:
+            try:
+                sim.run(max_events=1)
+            except SimulationError:
+                pass  # more events queued: the budget ended the window
             assert sim.now == fired[-1][0]
         assert fired == sorted(ev._key() for ev in events
                                if not ev.cancelled)
-        assert sim.pending() == 0
+        assert sim.peek_time() is None
 
     def test_peek_time_skips_cancelled_heads(self):
         sim = Simulator()
@@ -99,7 +104,7 @@ class TestPopOrder:
         for ev in early:
             ev.cancel()
         assert sim.peek_time() == 3.0
-        assert sim.pending() == 1
+        assert sim._queue.live == 1
         sim.run()
         assert sim.peek_time() is None
         assert sim.events_processed == 1
@@ -124,7 +129,7 @@ class TestRunControlEdges:
             sim.run(max_events=2)
         assert fired == [1.0, 2.0]
         assert sim.events_processed == 2
-        assert sim.pending() == 1
+        assert sim._queue.live == 1
         # the untouched tail drains on the next run
         assert sim.run() == 3.0
         assert fired == [1.0, 2.0, 3.0]
@@ -150,7 +155,7 @@ class TestRunControlEdges:
         ev.cancel()
         assert sim.run(until=7.0) == 7.0
         assert fired == []
-        assert sim.pending() == 1
+        assert sim._queue.live == 1
 
     def test_until_in_past_leaves_clock(self, sim):
         sim.schedule(4.0, lambda: None)
@@ -164,16 +169,16 @@ class TestRunControlEdges:
         assert sim.run(until=3.0) == 3.0
         assert sim.run(until=2.0) == 3.0  # never backwards
 
-    def test_pending_is_live_count(self, sim):
+    def test_queue_keeps_live_count(self, sim):
         events = [sim.schedule(float(i), lambda: None) for i in range(10)]
-        assert sim.pending() == 10
+        assert sim._queue.live == 10
         for ev in events[::2]:
             ev.cancel()
-        assert sim.pending() == 5
+        assert sim._queue.live == 5
         events[1].cancel()
-        assert sim.pending() == 4
+        assert sim._queue.live == 4
         sim.run()
-        assert sim.pending() == 0
+        assert sim._queue.live == 0
 
     def test_mass_cancellation_compacts(self, sim):
         """Cancelling nearly everything triggers lazy compaction; the

@@ -10,9 +10,12 @@ both modes and compare.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.amt.cluster import (ConstantSpeed, PiecewiseSpeed, SimCluster,
                                StraggleSpeed)
+from repro.amt.future import when_all
 from repro.amt.topology import (FlatTopology, HierarchicalTopology,
                                 SwitchedTopology)
 
@@ -294,3 +297,53 @@ class TestSendPathAccounting:
         assert fut.is_ready()
         assert cluster.network.bytes_sent == 0
         assert cluster.network.messages_sent == 0
+
+
+#: consumer runs as the step plan replays them: each consumer SD's
+#: messages share its owner as destination.  Few sources and sizes make
+#: arrival times tie across consumers; a run whose sources all equal its
+#: destination (or zero bytes on a zero-latency link) arrives at once
+_runs = st.lists(
+    st.tuples(st.integers(0, 3),
+              st.lists(st.tuples(st.integers(0, 3),
+                                 st.sampled_from([0, 512, 1024])),
+                       min_size=1, max_size=4)),
+    max_size=12)
+
+_PARITY_TOPOLOGIES = dict(_TOPOLOGIES,
+                          zero_latency=lambda: FlatTopology(latency=0.0))
+
+
+class TestConsumerGroupParity:
+    """One ``send_group`` per consumer run fires each consumer when the
+    barrier over its individual deliveries would, in the same order."""
+
+    @staticmethod
+    def _fired(topology, runs, grouped):
+        cluster = SimCluster(4, network=_PARITY_TOPOLOGIES[topology]())
+        fired = []
+
+        def consume(k):
+            # a real consumer reacts by scheduling work: that event's
+            # seq must land where the per-message path would put it
+            cluster.timer(1e-6)._add_callback(
+                lambda _f: fired.append(("work", k, cluster.now)))
+            fired.append(("ghosts", k, cluster.now))
+
+        for k, (dst, msgs) in enumerate(runs):
+            run = [(src, dst, nbytes) for src, nbytes in msgs]
+            fut = (cluster.send_group(run) if grouped
+                   else when_all(cluster.send_many(run)))
+            fut._add_callback(lambda _f, k=k: consume(k))
+        cluster.run()
+        net = cluster.network
+        return fired, (cluster.now, net.bytes_sent, net.messages_sent,
+                       net.bytes_by_class)
+
+    @pytest.mark.parametrize("topology", sorted(_PARITY_TOPOLOGIES))
+    @given(runs=_runs)
+    @settings(max_examples=60, deadline=None)
+    def test_group_per_consumer_matches_barrier_over_sends(self, topology,
+                                                           runs):
+        assert (self._fired(topology, runs, grouped=True)
+                == self._fired(topology, runs, grouped=False))

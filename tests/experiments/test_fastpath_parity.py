@@ -12,9 +12,11 @@ balancing, faults, and hierarchical topologies.)
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.experiments import build, run_scenario
+from repro.mesh.decomposition import Decomposition
 from repro.solver.distributed import DistributedSolver
 
 #: small but feature-covering: balancing + drift, fault + recovery,
@@ -79,6 +81,58 @@ def test_plan_compiled_once_per_ownership_change(name, steps, monkeypatch):
                    if e["sds_moved"] > 0}
     assert built == [0] + sorted(s for s in moved_after if 0 < s < steps)
     assert len(built) < steps
+
+
+def _run_l_shape():
+    from repro.mesh.domain import DomainMask
+    from repro.mesh.grid import UniformGrid
+    from repro.mesh.subdomain import SubdomainGrid
+    from repro.solver.model import NonlocalHeatModel
+
+    grid = UniformGrid(64, 64)
+    sg = SubdomainGrid(64, 64, 8, 8)
+    mask = DomainMask.l_shape(sg, notch=0.5)
+    parts = np.arange(sg.num_subdomains) % 3
+    DistributedSolver(NonlocalHeatModel(epsilon=4 * grid.h), grid, sg,
+                      parts, num_nodes=3, domain_mask=mask,
+                      compute_numerics=False).run(None, 2)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_scenario(build("hetero_drift", steps=6)),
+    lambda: run_scenario(build("fault_recovery", steps=4)),
+    lambda: run_scenario(build("scale_extreme", mesh=128, sd_axis=8,
+                               nodes=4, steps=2)),
+    _run_l_shape,
+], ids=["hetero_drift", "fault_recovery", "scale_extreme", "l_shape"])
+def test_plan_consumer_runs_are_contiguous_in_sd_order(run, monkeypatch):
+    """Every compiled plan holds one ghost run per consumer SD, in SD
+    order, each with exactly that SD's messages: the runs concatenate
+    back to the per-message order, so egress planning sees the
+    messages as before."""
+    checked = []
+    compile_plan = DistributedSolver._build_plan
+
+    def checking(self):
+        plan = compile_plan(self)
+        consumers = [sd for sd, _run in plan.ghost_runs]
+        assert consumers == sorted(set(consumers))
+        decomp = Decomposition(self.sd_grid, self.parts,
+                               len(self.cluster.nodes))
+        active = self._active
+        expected = [(m.dst_sd, (m.src_node, m.dst_node, m.nbytes))
+                    for m in decomp.ghost_messages(self.operator.radius)
+                    if active is None
+                    or (active[m.src_sd] and active[m.dst_sd])]
+        assert expected
+        assert [(sd, msg) for sd, msgs in plan.ghost_runs
+                for msg in msgs] == expected
+        checked.append(len(consumers))
+        return plan
+
+    monkeypatch.setattr(DistributedSolver, "_build_plan", checking)
+    run()
+    assert checked
 
 
 def test_everything_on_matches_everything_off(monkeypatch, run_per_event):
