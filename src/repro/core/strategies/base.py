@@ -28,10 +28,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ...codec import Codec
-from ...mesh.decomposition import Decomposition
+from ...mesh.decomposition import check_parts
 from ...mesh.subdomain import SubdomainGrid
 from ..power import compute_power, expected_sds, imbalance_ratio, integer_targets
 from ..transfer import TransferPlan, select_transfers
+from ..tree import node_adjacency
 
 __all__ = ["BalanceResult", "BalanceEvent", "BalanceStrategy",
            "is_uniform_work", "evacuate_assignments"]
@@ -88,23 +89,24 @@ def evacuate_assignments(sd_grid: SubdomainGrid, parts: np.ndarray,
     owned_by_active = active[parts]
     np.add.at(load, parts[owned_by_active], sd_work[owned_by_active])
     active_ids = [int(n) for n in np.nonzero(active)[0]]
+    live = np.append(active, False)  # index -1: past the grid edge
     plans: List[TransferPlan] = []
     while True:
         stranded = np.nonzero(~active[parts])[0]
         if len(stranded) == 0:
             break
-        best = None  # (dst load, dst id, sd id)
-        for sd in stranded:
-            for nb in sd_grid.face_neighbors(int(sd)):
-                dst = int(parts[nb])
-                if active[dst]:
-                    key = (float(load[dst]), dst, int(sd))
-                    if best is None or key < best:
-                        best = key
-        if best is None:
+        # every (stranded SD, live neighbour owner) candidate; the best
+        # is the least-loaded owner, ties by owner id, then SD id
+        owners = sd_grid.face_owners(parts)[stranded]
+        hit = live[owners]
+        if hit.any():
+            cand_dst = owners[hit]
+            cand_sd = np.broadcast_to(stranded[:, None], owners.shape)[hit]
+            i = np.lexsort((cand_sd, cand_dst, load[cand_dst]))[0]
+            dst, sd = int(cand_dst[i]), int(cand_sd[i])
+        else:
             dst = min(active_ids, key=lambda n: (float(load[n]), n))
-            best = (float(load[dst]), dst, int(stranded[0]))
-        _, dst, sd = best
+            sd = int(stranded[0])
         plans.append(TransferPlan(int(parts[sd]), dst, 1, [sd]))
         parts[sd] = dst
         load[dst] += sd_work[sd]
@@ -210,7 +212,7 @@ class _StepContext:
     SDs.
     """
 
-    __slots__ = ("parts", "decomp", "num_nodes", "busy", "sd_work",
+    __slots__ = ("parts", "num_nodes", "busy", "sd_work",
                  "node_load", "power", "expected", "imbalance", "residual",
                  "mean_sd_work", "half_sd", "uniform", "active")
 
@@ -281,8 +283,7 @@ class BalanceStrategy:
             bit for bit.  A step that evacuated or seeded is tagged
             ``recovery=True`` and fires regardless of the threshold.
         """
-        parts = np.asarray(parts, dtype=np.int64)
-        Decomposition(self.sd_grid, parts, num_nodes)  # validate ownership
+        parts = check_parts(parts, self.sd_grid.num_subdomains, num_nodes)
         busy = np.asarray(busy_times, dtype=np.float64)
         if len(busy) != num_nodes:
             raise ValueError(f"need {num_nodes} busy times, got {len(busy)}")
@@ -373,9 +374,7 @@ class BalanceStrategy:
                 imbalance_ratio_before=ratio_before,
                 imbalance_ratio_after=ratio_before, sd_work=sd_work)
 
-        decomp = Decomposition(self.sd_grid, work_parts, num_nodes)
-        ctx = _StepContext(parts=work_parts, decomp=decomp,
-                           num_nodes=num_nodes,
+        ctx = _StepContext(parts=work_parts, num_nodes=num_nodes,
                            busy=busy, sd_work=sd_work, node_load=node_load,
                            power=power, expected=expected,
                            imbalance=imbalance, residual=residual,
@@ -428,7 +427,7 @@ class BalanceStrategy:
                 sd = int(sd)
                 if not _donor_stays_connected(self.sd_grid, parts, donor, sd):
                     continue
-                cx, cy = self.sd_grid.sd_center(sd)
+                cx, cy = self.sd_grid.centers[sd]
                 dist = float(np.hypot(cx - centroid[0], cy - centroid[1]))
                 key = (-round(dist, 9), sd)
                 if best is None or key < best:
@@ -548,8 +547,7 @@ class BalanceStrategy:
                 or donor == receiver):
             return []
         nbrs: Dict[int, List[int]] = {n: [] for n in range(num_nodes)}
-        decomp = Decomposition(self.sd_grid, parts, num_nodes)
-        for a, b in decomp.node_adjacency():
+        for a, b in node_adjacency(self.sd_grid, parts):
             nbrs[a].append(b)
             nbrs[b].append(a)
         # BFS (sorted neighbors: deterministic shortest path)

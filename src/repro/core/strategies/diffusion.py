@@ -23,6 +23,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..transfer import TransferPlan
+from ..tree import node_adjacency
 from .base import BalanceStrategy, _StepContext
 from .registry import register_strategy
 
@@ -34,7 +35,7 @@ class DiffusionStrategy(BalanceStrategy):
     """Neighbor-pairwise first-order diffusive exchange."""
 
     def _rebalance(self, ctx: _StepContext) -> Tuple[np.ndarray, List[TransferPlan]]:
-        adjacency = ctx.decomp.node_adjacency()
+        adjacency = node_adjacency(self.sd_grid, ctx.parts)
         new_parts = ctx.parts.copy()
         if not adjacency:
             return new_parts, []

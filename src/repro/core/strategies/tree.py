@@ -36,7 +36,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..transfer import TransferPlan
-from ..tree import build_dependency_tree, topological_order
+from ..tree import build_dependency_tree, node_adjacency, topological_order
 from .base import BalanceStrategy, _StepContext
 from .registry import register_strategy
 
@@ -57,7 +57,7 @@ class TreeStrategy(BalanceStrategy):
         else:
             root = int(np.argmin(
                 np.where(ctx.active, ctx.imbalance, np.inf)))
-        adjacency = ctx.decomp.node_adjacency()
+        adjacency = node_adjacency(self.sd_grid, ctx.parts)
         tree = build_dependency_tree(ctx.num_nodes, adjacency, root)
         order = topological_order(tree, ctx.num_nodes, leaves_first=False)
 

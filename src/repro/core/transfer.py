@@ -64,30 +64,36 @@ class TransferPlan:
 
 
 def _sp_centroid(sd_grid: SubdomainGrid, parts: np.ndarray, node: int) -> np.ndarray:
-    members = np.nonzero(parts == node)[0]
-    if len(members) == 0:
+    members = parts == node
+    if not members.any():
         return np.array([0.5, 0.5])
-    pts = np.array([sd_grid.sd_center(int(s)) for s in members])
-    return pts.mean(axis=0)
+    return sd_grid.centers[members].mean(axis=0)
 
 
 def _donor_stays_connected(sd_grid: SubdomainGrid, parts: np.ndarray,
                            donor: int, candidate: int) -> bool:
     """Whether removing ``candidate`` keeps the donor's SP face-connected."""
-    members = [s for s in np.nonzero(parts == donor)[0] if s != candidate]
-    if len(members) <= 1:
+    mask = parts == donor
+    members = np.flatnonzero(mask)
+    size = len(members) - int(mask[candidate])
+    if size <= 1:
         return True
-    member_set = set(int(s) for s in members)
-    seed = members[0]
-    seen = {int(seed)}
-    stack = [int(seed)]
+    # depth-first walk over the face lists; `owned` doubles as the
+    # not-yet-seen set
+    owned = mask.tolist()
+    owned[candidate] = False
+    seed = int(members[0] if members[0] != candidate else members[1])
+    owned[seed] = False
+    stack = [seed]
+    seen = 1
+    rows = sd_grid.face_rows
     while stack:
-        s = stack.pop()
-        for nb in sd_grid.face_neighbors(s):
-            if nb in member_set and nb not in seen:
-                seen.add(nb)
+        for nb in rows[stack.pop()]:
+            if owned[nb]:
+                owned[nb] = False
+                seen += 1
                 stack.append(nb)
-    return len(seen) == len(member_set)
+    return seen == size
 
 
 def select_transfers(sd_grid: SubdomainGrid, parts: np.ndarray,
@@ -125,16 +131,13 @@ def select_transfers(sd_grid: SubdomainGrid, parts: np.ndarray,
 
 def _frontier(sd_grid: SubdomainGrid, parts: np.ndarray,
               donor: int, receiver: int) -> List[int]:
-    """Donor SDs face-adjacent to the receiver's SP."""
-    out = []
-    for sd in np.nonzero(parts == donor)[0]:
-        if any(parts[nb] == receiver for nb in sd_grid.face_neighbors(int(sd))):
-            out.append(int(sd))
-    return out
+    """Donor SDs face-adjacent to the receiver's SP, ascending."""
+    touches = (sd_grid.face_owners(parts) == receiver).any(axis=1)
+    return np.flatnonzero(touches & (parts == donor)).tolist()
 
 
 def _angle_bin(sd_grid: SubdomainGrid, sd: int, centroid: np.ndarray) -> int:
-    cx, cy = sd_grid.sd_center(sd)
+    cx, cy = sd_grid.centers[sd]
     angle = math.atan2(cy - centroid[1], cx - centroid[0])
     b = int((angle + math.pi) / (2 * math.pi) * NUM_ANGLE_BINS)
     return min(b, NUM_ANGLE_BINS - 1)
@@ -144,11 +147,11 @@ def _pick(sd_grid: SubdomainGrid, parts: np.ndarray, donor: int,
           receiver: int, frontier: List[int], centroid: np.ndarray,
           bin_usage: List[int], preserve_connectivity: bool):
     """Rank the frontier by the selection criteria; return the best SD."""
+    adjs = (sd_grid.face_owners(parts)[frontier]
+            == receiver).sum(axis=1).tolist()
     scored = []
-    for sd in frontier:
-        adj = sum(1 for nb in sd_grid.face_neighbors(sd)
-                  if parts[nb] == receiver)
-        cx, cy = sd_grid.sd_center(sd)
+    for sd, adj in zip(frontier, adjs):
+        cx, cy = sd_grid.centers[sd]
         dist = math.hypot(cx - centroid[0], cy - centroid[1])
         usage = bin_usage[_angle_bin(sd_grid, sd, centroid)]
         scored.append((round(dist, 9), usage, -adj, sd))

@@ -16,7 +16,31 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Sequence, Tuple
 
-__all__ = ["DependencyTree", "build_dependency_tree", "topological_order"]
+import numpy as np
+
+from ..mesh.subdomain import SubdomainGrid
+
+__all__ = ["DependencyTree", "build_dependency_tree", "node_adjacency",
+           "topological_order"]
+
+
+def node_adjacency(sd_grid: SubdomainGrid,
+                   parts: np.ndarray) -> List[Tuple[int, int]]:
+    """Sorted unordered node pairs ``(a, b)``, ``a < b``, with at least
+    one SD face adjacency under ownership ``parts``.
+
+    This is the edge set of the dependency tree (Algorithm 1 lines
+    13-18): nodes are connected iff an SD of one is adjacent to the SP
+    of the other.  One gather of the grid's face array.
+    """
+    parts = np.asarray(parts, dtype=np.int64)
+    own = parts[:, None]
+    nbr = sd_grid.face_owners(parts)
+    cross = (nbr >= 0) & (nbr != own)
+    lo = np.minimum(own, nbr)[cross]
+    hi = np.maximum(own, nbr)[cross]
+    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    return [(a, b) for a, b in pairs.tolist()]
 
 
 class DependencyTree:
@@ -53,8 +77,7 @@ def build_dependency_tree(num_nodes: int,
                           root: int) -> DependencyTree:
     """Build the BFS spanning tree from undirected node ``adjacency`` pairs.
 
-    ``adjacency`` is typically
-    :meth:`repro.mesh.decomposition.Decomposition.node_adjacency`.
+    ``adjacency`` is typically :func:`node_adjacency`.
     Neighbour lists are visited in sorted order so the tree (and hence
     the whole balancing step) is deterministic.
     """

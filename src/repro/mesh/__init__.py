@@ -6,16 +6,15 @@ unit of work and exchange), DPs (discretized points), ghost regions, and
 the Case-1/Case-2 dependent/independent DP split.
 """
 
-from .decomposition import (BYTES_PER_DP, CaseSplit, Decomposition,
-                            GhostMessage)
+from .decomposition import BYTES_PER_DP, Decomposition, check_parts
 from .domain import DomainMask
 from .grid import UniformGrid
 from .stencil import NonlocalStencil, build_stencil
-from .subdomain import Rect, SubdomainGrid
+from .subdomain import HaloTable, Rect, SubdomainGrid
 
 __all__ = [
-    "BYTES_PER_DP", "CaseSplit", "Decomposition", "GhostMessage",
+    "BYTES_PER_DP", "Decomposition", "check_parts",
     "DomainMask",
     "UniformGrid", "NonlocalStencil", "build_stencil",
-    "Rect", "SubdomainGrid",
+    "HaloTable", "Rect", "SubdomainGrid",
 ]

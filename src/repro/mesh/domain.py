@@ -55,10 +55,9 @@ class DomainMask:
     def from_predicate(cls, sd_grid: SubdomainGrid,
                        inside: Callable[[float, float], bool]) -> "DomainMask":
         """Activate SDs whose center satisfies ``inside(x, y)``."""
-        active = np.zeros(sd_grid.num_subdomains, dtype=bool)
-        for sd in range(sd_grid.num_subdomains):
-            cx, cy = sd_grid.sd_center(sd)
-            active[sd] = bool(inside(cx, cy))
+        active = np.array([bool(inside(cx, cy))
+                           for cx, cy in sd_grid.centers.tolist()],
+                          dtype=bool)
         return cls(sd_grid, active)
 
     @classmethod
@@ -124,11 +123,12 @@ class DomainMask:
         ids = np.asarray(self.active_sds(), dtype=np.int64)
         local = {int(s): i for i, s in enumerate(ids)}
         edges = []
-        for sd in ids:
-            for nb in self.sd_grid.face_neighbors(int(sd)):
+        rows = self.sd_grid.face_rows
+        for sd in ids.tolist():
+            for nb in rows[sd]:
                 if self.active[nb] and sd < nb:
-                    edges.append((local[int(sd)], local[nb]))
-        coords = np.array([self.sd_grid.sd_center(int(s)) for s in ids])
+                    edges.append((local[sd], local[nb]))
+        coords = self.sd_grid.centers[ids]
         return graph_from_edges(len(ids), edges, coords=coords), ids
 
     def scatter_parts(self, active_parts: np.ndarray,

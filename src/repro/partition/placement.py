@@ -50,14 +50,14 @@ def part_affinity(sd_grid: SubdomainGrid, parts: np.ndarray,
             f"parts length {len(parts)} != SD count "
             f"{sd_grid.num_subdomains}")
     W = np.zeros((num_parts, num_parts), dtype=np.int64)
-    for sd in range(sd_grid.num_subdomains):
-        p = parts[sd]
-        for nb in sd_grid.face_neighbors(sd):
-            if nb > sd:
-                q = parts[nb]
-                if p != q:
-                    W[p, q] += 1
-                    W[q, p] += 1
+    faces = sd_grid.faces
+    # each face once, from its lower-id SD (padding -1 never exceeds it)
+    once = faces > np.arange(len(parts))[:, None]
+    p = np.broadcast_to(parts[:, None], faces.shape)[once]
+    q = parts[faces[once]]
+    cross = p != q
+    np.add.at(W, (p[cross], q[cross]), 1)
+    np.add.at(W, (q[cross], p[cross]), 1)
     return W
 
 

@@ -44,7 +44,7 @@ from ..core.power import imbalance_ratio
 from ..core.strategies import (BalanceEvent, BalanceResult, BalanceStrategy,
                                evacuate_assignments, make_strategy)
 from ..costmodel import CostModel, FlatCostModel, WorkItem, make_cost_model
-from ..mesh.decomposition import BYTES_PER_DP, Decomposition
+from ..mesh.decomposition import BYTES_PER_DP, Decomposition, check_parts
 from ..mesh.grid import UniformGrid
 from ..mesh.subdomain import SubdomainGrid
 from .exact import step_error
@@ -112,12 +112,23 @@ class _StepPlan:
     """Step-invariant schedule structure, cached between ownership changes.
 
     Every timestep with the same SD ownership builds the *same* ghost
-    messages and the same per-SD work amounts: ``Decomposition``, the
-    halo sweep behind ``ghost_messages`` and the per-SD ``case_split``
-    depend only on ``(parts, sd_grid, radius)``.  Rebuilding them each
-    step dominates the wall time of schedule-only scaling runs, so the
-    solver compiles them once into plain tuples and replays those until
-    ownership changes (balancing, failure, join) or a new run starts.
+    messages and the same per-SD work amounts: they depend only on
+    ``(parts, sd_grid, radius)``.  Rebuilding them each step dominates
+    the wall time of schedule-only scaling runs, so the solver compiles
+    them once into plain tuples and replays those until ownership
+    changes (balancing, failure, join) or a new run starts.
+
+    A compile reads the grid's :class:`~repro.mesh.subdomain.HaloTable`
+    for the radius, built once per grid: the halo pairs with their byte
+    counts, sorted by (consumer, source), and each pair's Case-1 strip.
+    Ownership decides only a mask and a gather:
+    ``Decomposition.ghost_messages`` keeps the pairs whose SDs sit on
+    different nodes (both active, under a domain mask), and
+    ``Decomposition.case_split`` returns every SD's Case-1 count, the
+    area of the union of its foreign pairs' strips.  Both stay
+    ``Decomposition`` methods called once per compile: the end-to-end
+    tracer wraps them by name for the ``mesh.plan`` layer and counts
+    ``ghost_messages`` calls as compiles.
 
     The cached work floats are resolved through the solver's cost model
     once at compile time (``flat`` evaluates the seed's ``count * flops
@@ -258,7 +269,8 @@ class DistributedSolver:
         self.model = model
         self.grid = grid
         self.sd_grid = sd_grid
-        self.parts = np.asarray(parts, dtype=np.int64).copy()
+        self.parts = check_parts(parts, sd_grid.num_subdomains,
+                                 num_nodes).copy()
         self.num_nodes = num_nodes
         if operator is None:
             operator = NonlocalOperator(model, grid, backend=backend)
@@ -337,8 +349,6 @@ class DistributedSolver:
         else:
             self._active = None
             self._inactive_dp = None
-        # validate ownership
-        Decomposition(sd_grid, self.parts, num_nodes)
 
     # -- public API --------------------------------------------------------
     def run(self, u0: Optional[np.ndarray], num_steps: int,
@@ -404,6 +414,10 @@ class DistributedSolver:
         # re-fetches) charged mid-step; the next step may not start
         # until it has arrived, exactly like step-boundary migrations
         self._pending_recovery_futs: List[Future] = []
+        if self.faults is not None:
+            # the handler is bound to this solver; it is dropped when
+            # the run returns, so solver and cluster form no cycle
+            self.cluster.orphan_handler = self._requeue_orphan
         if self.faults is not None and not self._faults_armed:
             # straggles were composed into the speed traces up front;
             # failures and joins are discrete events.  Priority -1:
@@ -411,7 +425,6 @@ class DistributedSolver:
             # kills the task (fault detection wins the tie,
             # deterministically).
             self._faults_armed = True
-            self.cluster.orphan_handler = self._requeue_orphan
             for event in self.faults.events:
                 if event.kind == "fail":
                     self.cluster.sim.schedule(
@@ -422,9 +435,12 @@ class DistributedSolver:
                         event.time,
                         lambda e=event: self._on_join(e), priority=-1)
 
-        if num_steps > 0:
-            self._start_step(0)
-            self.cluster.run()
+        try:
+            if num_steps > 0:
+                self._start_step(0)
+                self.cluster.run()
+        finally:
+            self.cluster.orphan_handler = None
         self._done = True
 
         result.makespan = self.cluster.now
@@ -450,12 +466,13 @@ class DistributedSolver:
         return result
 
     # -- per-step machinery ----------------------------------------------------
-    def _work_item(self, sd: int, count: int, wf: float) -> WorkItem:
-        """The cost-model input for ``count`` DP updates of SD ``sd``."""
-        rect = self.sd_grid.rect(sd)
+    def _work_item(self, rows: int, cols: int, count: int,
+                   wf: float) -> WorkItem:
+        """The cost-model input for ``count`` DP updates of a
+        ``rows x cols`` SD block."""
         return WorkItem(count=count, flops=self._flops, work_factor=wf,
                         backend=self.operator.backend_name,
-                        rows=rect.height, cols=rect.width,
+                        rows=rows, cols=cols,
                         radius=self.operator.radius)
 
     def _effective_work_factors(self) -> np.ndarray:
@@ -470,8 +487,9 @@ class DistributedSolver:
         """
         if isinstance(self.cost_model, FlatCostModel):
             return self.work_factors
-        scales = [self.cost_model.work_scale(self._work_item(sd, 1, 1.0))
-                  for sd in range(self.sd_grid.num_subdomains)]
+        scales = [self.cost_model.work_scale(self._work_item(rows, cols,
+                                                             1, 1.0))
+                  for rows, cols in self.sd_grid.dp_shapes.tolist()]
         return self.work_factors * np.asarray(scales, dtype=np.float64)
 
     def _poll_busy(self) -> List[float]:
@@ -490,36 +508,40 @@ class DistributedSolver:
         decomp = Decomposition(self.sd_grid, self.parts, num_nodes)
         R = self.operator.radius
         cost = self.cost_model
+        work_item = self._work_item
 
         # ghost messages; with a domain mask, inactive SDs are
         # known-zero (the Dc condition) so no message involving them
         # is needed.  ghost_messages is ordered by destination SD, so
         # each consumer's messages form one contiguous run
         ghost_runs: List[Tuple[int, List[Tuple[int, int, int]]]] = []
-        for msg in decomp.ghost_messages(R):
-            if self._active is not None and not (
-                    self._active[msg.src_sd] and self._active[msg.dst_sd]):
-                continue
-            if not ghost_runs or ghost_runs[-1][0] != msg.dst_sd:
-                ghost_runs.append((msg.dst_sd, []))
-            ghost_runs[-1][1].append((msg.src_node, msg.dst_node, msg.nbytes))
+        src_node, dst_node, _src_sd, dst_sd, nbytes = decomp.ghost_messages(
+            R, self._active)
+        for sd, msg in zip(dst_sd, zip(src_node, dst_node, nbytes)):
+            if not ghost_runs or ghost_runs[-1][0] != sd:
+                ghost_runs.append((sd, []))
+            ghost_runs[-1][1].append(msg)
 
-        # per-SD work amounts (inactive SDs run nothing)
+        # per-SD work amounts (inactive SDs run nothing), priced per SD
+        # in SD order
+        case1 = decomp.case_split(R).tolist()
+        active = (None if self._active is None
+                  else self._active.tolist())
         tasks: List[tuple] = []
-        for sd in range(self.sd_grid.num_subdomains):
-            if self._active is not None and not self._active[sd]:
+        for sd, (node, (rows, cols), c1, wf) in enumerate(zip(
+                decomp.parts.tolist(), self.sd_grid.dp_shapes.tolist(),
+                case1, self.work_factors.tolist())):
+            if active is not None and not active[sd]:
                 continue
-            node = decomp.owner(sd)
-            split = decomp.case_split(sd, R)
-            wf = float(self.work_factors[sd])
+            c2 = rows * cols - c1
             if not self.overlap:
                 tasks.append((sd, node, cost.task_work(
-                    self._work_item(sd, split.total, wf))))
+                    work_item(rows, cols, rows * cols, wf))))
             else:
-                w2 = (cost.task_work(self._work_item(sd, split.case2_count, wf))
-                      if split.case2_count > 0 else None)
-                w1 = (cost.task_work(self._work_item(sd, split.case1_count, wf))
-                      if split.case1_count > 0 else None)
+                w2 = (cost.task_work(work_item(rows, cols, c2, wf))
+                      if c2 > 0 else None)
+                w1 = (cost.task_work(work_item(rows, cols, c1, wf))
+                      if c1 > 0 else None)
                 tasks.append((sd, node, w2, w1))
         return _StepPlan(ghost_runs, tasks)
 

@@ -54,6 +54,10 @@ def collector_off():
                        "steps": 3}),
     # plus balancing, migration barriers and real numerics
     ("hetero_drift", {"steps": 6}),
+    # plus a straggle, a failure (orphan requeue, checkpoint re-fetch)
+    # and a join: the fault schedule's hooks must not outlive the run
+    ("hetero_churn", {"mesh": 128, "sd_axis": 8, "nodes": 4,
+                      "steps": 12}),
 ])
 def test_solver_run_leaves_no_cycles(collector_off, name, overrides):
     spec = build(name, **overrides)

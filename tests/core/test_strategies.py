@@ -409,8 +409,8 @@ class TestStrategySpecificBehavior:
     def test_diffusion_moves_only_between_adjacent_nodes(self):
         sg = SubdomainGrid(24, 24, 6, 6)
         parts = block_partition(6, 6, 4)
-        from repro.mesh.decomposition import Decomposition
-        adjacent = set(Decomposition(sg, parts, 4).node_adjacency())
+        from repro.core.tree import node_adjacency
+        adjacent = set(node_adjacency(sg, parts))
         res = make_strategy("diffusion", sg).balance_step(
             parts, 4, [9.0, 6.0, 3.0, 1.5])
         assert res.triggered and res.plans

@@ -36,7 +36,7 @@ class TestSelectTransfers:
         sg, parts = halves()
         plan = select_transfers(sg, parts, donor=1, receiver=0, count=1)
         sd = plan.sds[0]
-        assert any(parts[nb] == 0 for nb in sg.face_neighbors(sd))
+        assert any(parts[nb] == 0 for nb in sg.face_rows[sd])
 
     def test_zero_count_empty_plan(self):
         sg, parts = halves()
@@ -117,7 +117,7 @@ class TestNaiveBaseline:
         plan = naive_select_transfers(sg, parts, donor=1, receiver=0, count=1)
         frontier_min = min(sd for sd in range(16)
                            if parts[sd] == 1 and
-                           any(parts[nb] == 0 for nb in sg.face_neighbors(sd)))
+                           any(parts[nb] == 0 for nb in sg.face_rows[sd]))
         assert plan.sds[0] == frontier_min
 
 

@@ -120,10 +120,9 @@ def test_plan_consumer_runs_are_contiguous_in_sd_order(run, monkeypatch):
         decomp = Decomposition(self.sd_grid, self.parts,
                                len(self.cluster.nodes))
         active = self._active
-        expected = [(m.dst_sd, (m.src_node, m.dst_node, m.nbytes))
-                    for m in decomp.ghost_messages(self.operator.radius)
-                    if active is None
-                    or (active[m.src_sd] and active[m.dst_sd])]
+        src_node, dst_node, _, dst_sd, nbytes = decomp.ghost_messages(
+            self.operator.radius, active)
+        expected = list(zip(dst_sd, zip(src_node, dst_node, nbytes)))
         assert expected
         assert [(sd, msg) for sd, msgs in plan.ghost_runs
                 for msg in msgs] == expected

@@ -1,10 +1,13 @@
-"""Tests for Rect and SubdomainGrid."""
+"""Tests for Rect and SubdomainGrid, its geometry arrays against the
+object-form walks of ``geometry_oracles``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geometry_oracles import (clip, expand, face_neighbors, halo_neighbors,
+                              halo_rect, intersect, sd_center)
 from repro.mesh.subdomain import Rect, SubdomainGrid
 
 
@@ -26,16 +29,16 @@ class TestRect:
     def test_intersect(self):
         a = Rect(0, 4, 0, 4)
         b = Rect(2, 6, 3, 8)
-        c = a.intersect(b)
+        c = intersect(a, b)
         assert c == Rect(2, 4, 3, 4)
 
     def test_disjoint_intersection_empty(self):
-        assert Rect(0, 2, 0, 2).intersect(Rect(5, 7, 5, 7)).area == 0
+        assert intersect(Rect(0, 2, 0, 2), Rect(5, 7, 5, 7)).area == 0
 
     def test_expand_and_clip(self):
-        r = Rect(0, 2, 0, 2).expand(3)
+        r = expand(Rect(0, 2, 0, 2), 3)
         assert r == Rect(-3, 5, -3, 5)
-        assert r.clip(4, 4) == Rect(0, 4, 0, 4)
+        assert clip(r, 4, 4) == Rect(0, 4, 0, 4)
 
     def test_equality_and_hash(self):
         assert Rect(0, 1, 2, 3) == Rect(0, 1, 2, 3)
@@ -82,39 +85,39 @@ class TestSubdomainGrid:
 
     def test_sd_center_in_unit_square(self):
         sg = SubdomainGrid(20, 20, 5, 5)
-        cx, cy = sg.sd_center(0)
+        cx, cy = sd_center(sg, 0)
         assert (cx, cy) == (0.1, 0.1)
-        cx, cy = sg.sd_center(24)
+        cx, cy = sd_center(sg, 24)
         assert (cx, cy) == (0.9, 0.9)
 
     def test_face_neighbors_interior(self):
         sg = SubdomainGrid(20, 20, 5, 5)
         center = sg.sd_id(2, 2)
-        nbrs = sg.face_neighbors(center)
+        nbrs = face_neighbors(sg, center)
         assert len(nbrs) == 4
         assert set(nbrs) == {sg.sd_id(1, 2), sg.sd_id(3, 2),
                              sg.sd_id(2, 1), sg.sd_id(2, 3)}
 
     def test_face_neighbors_corner(self):
         sg = SubdomainGrid(20, 20, 5, 5)
-        assert len(sg.face_neighbors(0)) == 2
+        assert len(face_neighbors(sg, 0)) == 2
 
     def test_halo_rect_clipped_at_boundary(self):
         sg = SubdomainGrid(20, 20, 5, 5)
-        halo = sg.halo_rect(0, radius=2)
+        halo = halo_rect(sg, 0, 2)
         assert halo == Rect(0, 6, 0, 6)
 
     def test_halo_neighbors_small_radius(self):
         """Radius smaller than SD size: only the 8 surrounding SDs."""
         sg = SubdomainGrid(20, 20, 5, 5)
         center = sg.sd_id(2, 2)
-        nbrs = sg.halo_neighbors(center, radius=2)
+        nbrs = halo_neighbors(sg, center, 2)
         assert len(nbrs) == 8
 
     def test_halo_neighbors_overlap_areas(self):
         sg = SubdomainGrid(20, 20, 5, 5)
         center = sg.sd_id(2, 2)
-        overlaps = dict(sg.halo_neighbors(center, radius=2))
+        overlaps = dict(halo_neighbors(sg, center, 2))
         # face neighbours contribute 2x4 strips, corners 2x2
         areas = sorted(r.area for r in overlaps.values())
         assert areas == [4, 4, 4, 4, 8, 8, 8, 8]
@@ -123,14 +126,14 @@ class TestSubdomainGrid:
         """Radius larger than SD size: SDs two rings away appear."""
         sg = SubdomainGrid(20, 20, 5, 5)  # SDs are 4x4 DPs
         center = sg.sd_id(2, 2)
-        nbrs = sg.halo_neighbors(center, radius=6)
+        nbrs = halo_neighbors(sg, center, 6)
         ids = {sd for sd, _ in nbrs}
         assert sg.sd_id(0, 2) in ids  # two SDs to the left
 
     def test_halo_neighbors_exclude_self(self):
         sg = SubdomainGrid(8, 8, 2, 2)
         for sd in range(4):
-            assert sd not in {s for s, _ in sg.halo_neighbors(sd, 3)}
+            assert sd not in {s for s, _ in halo_neighbors(sg, sd, 3)}
 
     def test_ownership_grid_shape(self):
         sg = SubdomainGrid(20, 20, 5, 4)
@@ -151,9 +154,9 @@ class TestSubdomainGrid:
             sds = mesh
         sg = SubdomainGrid(mesh, mesh, sds, sds)
         sd = sg.num_subdomains // 2
-        halo = sg.halo_rect(sd, radius)
+        halo = halo_rect(sg, sd, radius)
         cover = np.zeros((mesh, mesh), dtype=int)
-        for _, r in sg.halo_neighbors(sd, radius):
+        for _, r in halo_neighbors(sg, sd, radius):
             cover[r.slices()] += 1
         own = np.zeros((mesh, mesh), dtype=bool)
         own[sg.rect(sd).slices()] = True
@@ -162,3 +165,45 @@ class TestSubdomainGrid:
         expected = in_halo & ~own
         assert np.array_equal(cover > 0, expected)
         assert cover.max() <= 1  # disjoint
+
+
+grids = st.tuples(st.integers(4, 30), st.integers(4, 30),
+                  st.integers(1, 7), st.integers(1, 7)).map(
+    lambda t: SubdomainGrid(t[0], t[1], min(t[2], t[0]), min(t[3], t[1])))
+
+
+class TestGeometryArrays:
+    """The grid's arrays equal the per-SD object walks, uneven cuts
+    and rings beyond the first included."""
+
+    @given(sg=grids)
+    @settings(max_examples=60, deadline=None)
+    def test_faces_and_centers_match_walks(self, sg):
+        for sd in range(sg.num_subdomains):
+            row = [nb for nb in sg.faces[sd].tolist() if nb >= 0]
+            assert row == face_neighbors(sg, sd) == sg.face_rows[sd]
+            assert tuple(sg.centers[sd].tolist()) == sd_center(sg, sd)
+            rect = sg.rect(sd)
+            assert sg.dp_shapes[sd].tolist() == [rect.height, rect.width]
+
+    @given(sg=grids, radius=st.integers(0, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_halo_table_matches_halo_neighbors(self, sg, radius):
+        table = sg.halo_table(radius)
+        got = list(zip(table.dst.tolist(), table.src.tolist(),
+                       table.nbytes.tolist()))
+        want = [(sd, other, 8 * region.area)
+                for sd in range(sg.num_subdomains)
+                for other, region in halo_neighbors(sg, sd, radius)]
+        assert got == want
+
+    def test_halo_table_is_memoized_per_radius(self):
+        sg = SubdomainGrid(20, 20, 5, 5)
+        assert sg.halo_table(2) is sg.halo_table(2)
+        assert sg.halo_table(3) is not sg.halo_table(2)
+
+    def test_arrays_are_read_only(self):
+        sg = SubdomainGrid(8, 8, 2, 2)
+        for arr in (sg.faces, sg.centers, sg.dp_shapes):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1

@@ -19,6 +19,7 @@ from scipy.signal import oaconvolve
 
 from repro.mesh.grid import UniformGrid
 from repro.mesh.stencil import build_stencil
+from repro.mesh.subdomain import Rect
 from repro.solver.model import NonlocalHeatModel
 
 
@@ -100,8 +101,8 @@ def apply_by_subdomain(operator, sd_grid, u: np.ndarray,
                        sds=None) -> np.ndarray:
     """``L(u)`` assembled from one ``apply_block`` per SD.
 
-    Each SD copies its halo (:meth:`SubdomainGrid.halo_rect`: its
-    rectangle grown by the stencil radius and clipped to the mesh) into
+    Each SD copies its halo (its rectangle grown by the stencil radius
+    and clipped to the mesh) into
     a block padded by the radius on every side; what the halo leaves
     uncovered stays zero, the ``Dc`` condition.  ``sds`` restricts the
     assembly to those SDs; the others stay zero in the result.
@@ -110,7 +111,8 @@ def apply_by_subdomain(operator, sd_grid, u: np.ndarray,
     out = np.zeros_like(u)
     for sd in range(sd_grid.num_subdomains) if sds is None else sds:
         rect = sd_grid.rect(sd)
-        halo = sd_grid.halo_rect(sd, R)
+        halo = Rect(max(0, rect.y0 - R), min(sd_grid.mesh_ny, rect.y1 + R),
+                    max(0, rect.x0 - R), min(sd_grid.mesh_nx, rect.x1 + R))
         padded = np.zeros((rect.height + 2 * R, rect.width + 2 * R))
         dy0 = halo.y0 - (rect.y0 - R)
         dx0 = halo.x0 - (rect.x0 - R)

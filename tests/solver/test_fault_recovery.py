@@ -174,6 +174,28 @@ class TestSolverFaultBehavior:
         assert res.recovery_events == []
         assert solver.cluster.nodes[0].alive
 
+    def test_orphan_handler_lives_only_inside_run(self):
+        """The cluster holds the solver's orphan handler while a run is
+        in progress, every run, and drops it when the run returns: a
+        finished solver and its cluster form no reference cycle."""
+        step = self._step_time()
+        faults = FaultSchedule(4, (ChurnEvent("fail", 1.5 * step, 0),))
+        solver = _make_solver(faults, IntervalPolicy(1))
+        cluster_run = solver.cluster.run
+        seen = []
+
+        def run(*args, **kwargs):
+            seen.append(solver.cluster.orphan_handler)
+            return cluster_run(*args, **kwargs)
+
+        solver.cluster.run = run
+        first = solver.run(None, 4)
+        assert first.recovery_events[0].tasks_requeued > 0
+        assert solver.cluster.orphan_handler is None
+        solver.run(None, 2)
+        assert solver.cluster.orphan_handler is None
+        assert seen == [solver._requeue_orphan] * 2
+
     def test_schedule_size_mismatch_rejected(self):
         faults = FaultSchedule(3, (ChurnEvent("fail", 1.0, 0),))
         with pytest.raises(ValueError, match="initial nodes"):
