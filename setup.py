@@ -19,7 +19,7 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.9",
     install_requires=[
-        "numpy",
+        "numpy>=2.1",  # np.fft out=, reshape(copy=False)
         "scipy",
     ],
     entry_points={

@@ -96,7 +96,11 @@ class ConvolutionKernelBackend(KernelBackend):
 
     @abstractmethod
     def _convolve_same(self, u: np.ndarray) -> np.ndarray:
-        """Linear convolution with the mask, cropped to ``u.shape``."""
+        """Linear convolution with the mask, cropped to ``u.shape``.
+
+        Both convolutions may return a view of a buffer the backend
+        reuses on its next call; :meth:`_finish` copies it out.
+        """
 
     @abstractmethod
     def _convolve_valid(self, padded: np.ndarray) -> np.ndarray:

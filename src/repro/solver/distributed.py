@@ -174,7 +174,8 @@ class DistributedSolver:
         migration, and recovery transfers are all routed through it.
         Its link state is reset at the start of every :meth:`run`.
     source, dt:
-        As in the serial solver.
+        As in the serial solver: ``source(t, out)`` writes into a
+        grid-shaped scratch array the solver owns.
     work_factors:
         Optional per-SD work multipliers (< 1 inside a crack — see
         :mod:`repro.models.crack`); scales simulated task cost only.
@@ -248,7 +249,7 @@ class DistributedSolver:
                  num_nodes: int, cores_per_node: int = 1,
                  speeds: Optional[Sequence[SpeedTrace]] = None,
                  network: Optional[Topology] = None,
-                 source: Optional[Callable[[float], np.ndarray]] = None,
+                 source: Optional[Callable[..., np.ndarray]] = None,
                  dt: Optional[float] = None,
                  work_factors: Optional[Sequence[float]] = None,
                  balancer: Union[str, BalanceStrategy, None] = "auto",
@@ -352,7 +353,7 @@ class DistributedSolver:
 
     # -- public API --------------------------------------------------------
     def run(self, u0: Optional[np.ndarray], num_steps: int,
-            exact: Optional[Callable[[float], np.ndarray]] = None) -> DistributedResult:
+            exact: Optional[Callable[..., np.ndarray]] = None) -> DistributedResult:
         """Integrate ``num_steps`` steps; returns the run diagnostics.
 
         ``u0`` may be ``None`` only when ``compute_numerics=False``.
@@ -379,8 +380,11 @@ class DistributedSolver:
             self._u_old[...] = u0
             if self._inactive_dp is not None:
                 self._u_old[self._inactive_dp] = 0.0
+            #: receives the source and the exact field: a step allocates
+            #: only the apply's result
+            self._scratch = np.empty(self.grid.shape)
         else:
-            self._pad_old = self._pad_new = None
+            self._pad_old = self._pad_new = self._scratch = None
             self._u_old = self._u_new = None
 
         # per-run network state: a reused network (or topology) object
@@ -392,12 +396,12 @@ class DistributedSolver:
         self._plan = None
 
         result = DistributedResult()
+        self._result = result
+        self._exact = exact
         if exact is not None:
             if not self.compute_numerics:
                 raise ValueError("error tracking requires numerics")
-            result.errors = [step_error(self.grid, self._u_old, exact(0.0))]
-        self._result = result
-        self._exact = exact
+            result.errors = [self._step_error(0.0)]
         self._num_steps = num_steps
         self._flops = self.operator.flops_per_dp()
         self._balance_work = self._effective_work_factors()
@@ -418,25 +422,12 @@ class DistributedSolver:
             # the handler is bound to this solver; it is dropped when
             # the run returns, so solver and cluster form no cycle
             self.cluster.orphan_handler = self._requeue_orphan
-        if self.faults is not None and not self._faults_armed:
-            # straggles were composed into the speed traces up front;
-            # failures and joins are discrete events.  Priority -1:
-            # a failure at the exact instant a task would complete
-            # kills the task (fault detection wins the tie,
-            # deterministically).
-            self._faults_armed = True
-            for event in self.faults.events:
-                if event.kind == "fail":
-                    self.cluster.sim.schedule(
-                        event.time,
-                        lambda e=event: self._on_fail(e.node), priority=-1)
-                elif event.kind == "join":
-                    self.cluster.sim.schedule(
-                        event.time,
-                        lambda e=event: self._on_join(e), priority=-1)
 
         try:
             if num_steps > 0:
+                # armed only when a step runs: a queued event holds the
+                # solver, and a run without steps never drains the queue
+                self._arm_faults()
                 self._start_step(0)
                 self.cluster.run()
         finally:
@@ -464,6 +455,25 @@ class DistributedSolver:
         if self.compute_numerics:
             result.u = self._u_old.copy()
         return result
+
+    def _arm_faults(self) -> None:
+        """Schedule the failures and joins, once per solver."""
+        if self.faults is None or self._faults_armed:
+            return
+        # straggles were composed into the speed traces up front;
+        # failures and joins are discrete events.  Priority -1: a
+        # failure at the exact instant a task would complete kills the
+        # task (fault detection wins the tie, deterministically).
+        self._faults_armed = True
+        for event in self.faults.events:
+            if event.kind == "fail":
+                self.cluster.sim.schedule(
+                    event.time,
+                    lambda e=event: self._on_fail(e.node), priority=-1)
+            elif event.kind == "join":
+                self.cluster.sim.schedule(
+                    event.time,
+                    lambda e=event: self._on_join(e), priority=-1)
 
     # -- per-step machinery ----------------------------------------------------
     def _work_item(self, rows: int, cols: int, count: int,
@@ -599,13 +609,19 @@ class DistributedSolver:
         """
         rhs = self.operator.apply_block(self._pad_old)
         if self.source is not None:
-            rhs += self.source(step * self.dt)
+            rhs += self.source(step * self.dt, out=self._scratch)
         rhs *= self.dt
         np.add(self._u_old, rhs, out=self._u_new)
         if self._inactive_dp is not None:
             self._u_new[self._inactive_dp] = 0.0
         self._pad_old, self._pad_new = self._pad_new, self._pad_old
         self._u_old, self._u_new = self._u_new, self._u_old
+
+    def _step_error(self, t: float) -> float:
+        """Eq. (7) at time ``t``, the difference held in the scratch."""
+        scratch = self._scratch
+        return step_error(self.grid, self._u_old,
+                          self._exact(t, out=scratch), out=scratch)
 
     def _end_step(self, step: int) -> None:
         result = self._result
@@ -616,9 +632,7 @@ class DistributedSolver:
         if self.compute_numerics:
             self._advance(step)
             if self._exact is not None:
-                t = (step + 1) * self.dt
-                result.errors.append(
-                    step_error(self.grid, self._u_old, self._exact(t)))
+                result.errors.append(self._step_error((step + 1) * self.dt))
 
         # this step's recovery transfers gate the next step start just
         # like ordinary migrations (SD data must arrive before the new

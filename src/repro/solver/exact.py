@@ -107,34 +107,46 @@ class ManufacturedProblem:
         self.source_mode = source_mode
         self.oversample = oversample
         if grid.dim == 1:
-            self._space = _spatial_factor(grid.x_coords()[None, :], None, 1)
+            space = _spatial_factor(grid.x_coords()[None, :], None, 1)
         else:
             X, Y = grid.meshgrid()
-            self._space = _spatial_factor(X, Y, 2)
+            space = _spatial_factor(X, Y, 2)
         if source_mode == "discrete":
-            self._op = NonlocalOperator(model, grid)
-            self._integral_of_space = self._op.apply(self._space)
+            integral = NonlocalOperator(model, grid).apply(space)
         else:
-            self._integral_of_space = self._continuum_integral_of_space()
+            integral = self._continuum_integral_of_space()
+        #: ``s = sin ⊗ sin`` and its integral term ``c ∫ J (s(y) - s(x))
+        #: dy`` as the rows of one array, so ``b(t)`` is one contraction
+        #: with its two time coefficients
+        self._basis = np.stack([space.ravel(), integral.ravel()])
+        self._space, self._integral_of_space = (
+            row.reshape(space.shape) for row in self._basis)
 
     # -- exact fields ------------------------------------------------------
-    def exact(self, t: float) -> np.ndarray:
+    # ``exact`` and ``source`` write into ``out`` when given: a grid-shaped
+    # float64 array the caller owns, so a time step allocates nothing here
+    def exact(self, t: float, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``w(t)`` sampled at the DPs."""
-        return math.cos(2 * math.pi * t) * self._space
-
-    def exact_dt(self, t: float) -> np.ndarray:
-        """``∂w/∂t (t)`` sampled at the DPs."""
-        return -2 * math.pi * math.sin(2 * math.pi * t) * self._space
+        return np.multiply(self._space, math.cos(2 * math.pi * t), out=out)
 
     def initial_condition(self) -> np.ndarray:
         """``u0 = w(0) = sin sin``."""
         return self._space.copy()
 
-    def source(self, t: float) -> np.ndarray:
+    def source(self, t: float, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The manufactured heat source ``b(t)`` of eq. (6)."""
         # both modes: b = dw/dt - (nonlocal integral term applied to w(t));
-        # time enters only through the cos/sin prefactors.
-        return self.exact_dt(t) - math.cos(2 * math.pi * t) * self._integral_of_space
+        # time enters only through the sin/cos prefactors.  einsum, not
+        # np.dot: a BLAS gemv is threaded at this size, and on two cores
+        # that ran 9x slower than einsum's single-threaded loop
+        coef = np.array([-2 * math.pi * math.sin(2 * math.pi * t),
+                         -math.cos(2 * math.pi * t)])
+        if out is None:
+            return np.einsum("k,kn->n", coef,
+                             self._basis).reshape(self._space.shape)
+        np.einsum("k,kn->n", coef, self._basis,
+                  out=out.reshape(-1, copy=False))
+        return out
 
     # -- continuum quadrature ---------------------------------------------------
     def _continuum_integral_of_space(self) -> np.ndarray:
@@ -192,13 +204,18 @@ def _shifted_samples(n: int, q: int, fine_h: float, width: int) -> np.ndarray:
 
 
 def step_error(grid: UniformGrid, numeric: np.ndarray,
-               exact: np.ndarray) -> float:
-    """``e_k = h^d sum_i |u_exact - u_num|^2`` — eq. (7) at one step."""
+               exact: np.ndarray, out: Optional[np.ndarray] = None) -> float:
+    """``e_k = h^d sum_i |u_exact - u_num|^2`` — eq. (7) at one step.
+
+    ``out`` (may be ``exact`` itself) receives the difference; without
+    it, a new array does.
+    """
     if numeric.shape != exact.shape:
         raise ValueError(f"shape mismatch {numeric.shape} vs {exact.shape}")
     hd = grid.h if grid.dim == 1 else grid.h ** 2
-    diff = numeric - exact
-    return float(hd * np.sum(diff * diff))
+    diff = np.subtract(numeric, exact, out=out).reshape(-1)
+    # einsum's own loop: no full-size square, and no BLAS thread pool
+    return float(hd * np.einsum("n,n->", diff, diff))
 
 
 def total_error(errors) -> float:

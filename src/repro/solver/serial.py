@@ -55,7 +55,9 @@ class SerialSolver:
     model, grid:
         Problem definition and discretization.
     source:
-        ``b(t) -> field`` (or ``None`` for an unforced problem).
+        ``b(t, out) -> out``: writes the heat source at time ``t`` into
+        the solver's grid-shaped scratch array ``out`` and returns it
+        (``None`` for an unforced problem).
     dt:
         Timestep; defaults to :func:`repro.solver.kernel.stable_dt`.
     operator:
@@ -68,7 +70,7 @@ class SerialSolver:
     """
 
     def __init__(self, model: NonlocalHeatModel, grid: UniformGrid,
-                 source: Optional[Callable[[float], np.ndarray]] = None,
+                 source: Optional[Callable[..., np.ndarray]] = None,
                  dt: Optional[float] = None,
                  operator: Optional[NonlocalOperator] = None,
                  backend: str = "auto") -> None:
@@ -84,19 +86,25 @@ class SerialSolver:
                    if dt is None else float(dt))
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        #: receives the source and the exact field, so a step allocates
+        #: only the operator apply's result
+        self._scratch = np.empty(grid.shape)
 
     def step(self, u: np.ndarray, t: float) -> np.ndarray:
         """One forward-Euler step from time ``t``; returns the new field."""
         rhs = self.operator.apply(u)
         if self.source is not None:
-            rhs = rhs + self.source(t)
-        return u + self.dt * rhs
+            rhs += self.source(t, out=self._scratch)
+        rhs *= self.dt
+        rhs += u
+        return rhs
 
     def run(self, u0: np.ndarray, num_steps: int,
-            exact: Optional[Callable[[float], np.ndarray]] = None) -> SolveResult:
+            exact: Optional[Callable[..., np.ndarray]] = None) -> SolveResult:
         """Integrate ``num_steps`` steps from ``u0``.
 
-        ``exact(t)`` enables per-step error tracking (eq. 7), including
+        ``exact(t, out) -> out`` (the same contract as ``source``)
+        enables per-step error tracking (eq. 7), including
         the initial step ``e_0`` (zero by construction for a consistent
         initial condition, kept for parity with the paper's sum over
         ``0 <= k <= N``).
@@ -108,13 +116,16 @@ class SerialSolver:
             raise ValueError(f"u0 shape {u.shape} != grid {self.grid.shape}")
         times = [0.0]
         errors: Optional[List[float]] = None
+        scratch = self._scratch
         if exact is not None:
-            errors = [step_error(self.grid, u, exact(0.0))]
+            errors = [step_error(self.grid, u, exact(0.0, out=scratch),
+                                 out=scratch)]
         t = 0.0
         for _ in range(num_steps):
             u = self.step(u, t)
             t += self.dt
             times.append(t)
             if exact is not None:
-                errors.append(step_error(self.grid, u, exact(t)))
+                errors.append(step_error(self.grid, u, exact(t, out=scratch),
+                                         out=scratch))
         return SolveResult(u, times, errors)

@@ -20,6 +20,7 @@ from repro.solver.backends import (AUTO, KernelBackend,
                                    apply_operator_reference,
                                    auto_backend_name, backend_names,
                                    make_backend)
+from repro.solver.backends.fft import _next_fast_len
 from repro.solver.kernel import NonlocalOperator
 from repro.solver.model import NonlocalHeatModel
 
@@ -223,6 +224,62 @@ class TestPropertyEquivalence:
         tol = 1e-12 * max(1.0, np.abs(results[0]).max())
         for name, got in zip(ALL_BACKENDS[1:], results[1:]):
             assert np.abs(got - results[0]).max() <= tol, name
+
+
+class TestFFTPlanBuffers:
+    """The FFT backend transforms in buffers its plans keep; no result
+    may alias them."""
+
+    @given(radius=st.integers(1, 4),
+           single_row=st.booleans(),
+           shapes=st.lists(st.tuples(st.integers(1, 20), st.integers(1, 20)),
+                           min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_interleaved_applies_match_reference_and_stay_put(
+            self, radius, single_row, shapes, seed):
+        rng = np.random.default_rng(seed)
+        stencil = random_stencil(rng, radius, single_row=single_row)
+        backend = make_backend("fft", stencil, 1.7)
+        results = []  # (result, its value when returned, reference)
+
+        def check(got, expected):
+            tol = 1e-12 * max(1.0, np.abs(expected).max())
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= tol
+            results.append((got, got.copy(), expected))
+
+        for ny, nx in shapes:
+            ny = 1 if single_row else ny
+            u = rng.standard_normal((ny, nx))
+            check(backend.apply_full(u),
+                  apply_operator_reference(stencil, 1.7, u))
+            # a 2-D block padded around ``u`` transforms at ``u``'s FFT
+            # shape; one row fewer shares it whenever the fast length
+            # rounds both up to the same size (the spectrum rows past
+            # the input must be zeroed again)
+            for rows in (ny + 2 * radius, ny + 2 * radius - 1):
+                if rows > 2 * radius:
+                    padded = rng.standard_normal((rows, nx + 2 * radius))
+                    check(backend.apply_padded(padded),
+                          reference_padded(stencil, 1.7, padded))
+        for got, returned, _ in results:
+            np.testing.assert_array_equal(got, returned)
+
+    def test_padded_block_shares_the_full_apply_plan(self):
+        rng = np.random.default_rng(5)
+        stencil = random_stencil(rng, 3)
+        backend = make_backend("fft", stencil, 1.0)
+        u = rng.standard_normal((8, 13))
+        backend.apply_full(u)
+        backend.apply_padded(np.pad(u, 3))
+        backend.apply_padded(np.pad(u, 3)[1:])  # 13 rows round up to 14
+        assert list(backend._plans) == [(14, 20)]
+
+    def test_next_fast_len_matches_scipy(self):
+        from scipy import fft as sfft
+        assert [_next_fast_len(n) for n in range(1, 4097)] == [
+            sfft.next_fast_len(n) for n in range(1, 4097)]
 
 
 class TestSparseTiling:

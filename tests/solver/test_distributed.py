@@ -408,11 +408,11 @@ class TestFailurePropagation:
             def __init__(self):
                 self.calls = 0
 
-            def __call__(self, t):
+            def __call__(self, t, out):
                 if self.calls >= 1:  # fail from the second step on
                     raise RuntimeError("sensor died")
                 self.calls += 1
-                return prob.source(t)
+                return prob.source(t, out=out)
 
         dsol = DistributedSolver(model, grid, sg, block_partition(4, 4, 2),
                                  num_nodes=2, source=ExplodingSource(),

@@ -29,11 +29,38 @@ class TestExactFields:
         prob = ManufacturedProblem(model, grid, source_mode="discrete")
         assert np.allclose(prob.exact(0.25), 0.0, atol=1e-12)
 
-    def test_exact_dt_at_zero_is_zero(self):
+    def test_source_splits_into_time_derivative_and_integral(self):
+        """``b = dw/dt - cos(2 pi t) I``: at ``t = 0`` the time
+        derivative vanishes, at ``t = 1/4`` the integral term does."""
         grid = UniformGrid(8, 8)
         model = NonlocalHeatModel(epsilon=2 * grid.h)
         prob = ManufacturedProblem(model, grid, source_mode="discrete")
-        assert np.allclose(prob.exact_dt(0.0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(prob.source(0.0),
+                                   -prob._integral_of_space, atol=1e-12)
+        np.testing.assert_allclose(prob.source(0.25),
+                                   -2 * np.pi * prob._space, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_out_receives_the_same_field(self, dim):
+        """``exact``/``source`` write into ``out``, return it, and give
+        the values of the allocating call bit for bit."""
+        grid = UniformGrid(12, 12) if dim == 2 else UniformGrid(12, dim=1)
+        model = NonlocalHeatModel(epsilon=3 * grid.h, dim=dim)
+        prob = ManufacturedProblem(model, grid)
+        out = np.empty(grid.shape)
+        for t in (0.0, 0.13, 0.4):
+            for field in (prob.exact, prob.source):
+                assert field(t, out=out) is out
+                np.testing.assert_array_equal(out, field(t))
+
+    def test_source_rejects_an_out_it_cannot_fill_in_place(self):
+        grid = UniformGrid(8, 8)
+        model = NonlocalHeatModel(epsilon=2 * grid.h)
+        prob = ManufacturedProblem(model, grid)
+        # its rows are not one stride apart: no flat view to fill
+        block = np.empty((8, 16))[:, :8]
+        with pytest.raises(ValueError):
+            prob.source(0.1, out=block)
 
     def test_time_periodicity(self):
         grid = UniformGrid(8, 8)
@@ -129,6 +156,18 @@ class TestErrorNorms:
         e = step_error(grid, np.zeros(grid.shape), np.ones(grid.shape))
         assert e == pytest.approx(grid.h ** 2 * 64)
         assert e == pytest.approx(1.0)
+
+    def test_step_error_out_holds_the_difference(self):
+        """``out`` may be ``exact`` itself; the error is the same."""
+        grid = UniformGrid(8, 8)
+        rng = np.random.default_rng(3)
+        u, w = rng.random(grid.shape), rng.random(grid.shape)
+        expected = step_error(grid, u, w)
+        assert expected == pytest.approx(grid.h ** 2 * np.sum((u - w) ** 2),
+                                         rel=1e-14)
+        out = w.copy()
+        assert step_error(grid, u, out, out=out) == expected
+        np.testing.assert_array_equal(out, u - w)
 
     def test_step_error_shape_check(self):
         grid = UniformGrid(8, 8)

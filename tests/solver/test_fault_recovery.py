@@ -15,8 +15,10 @@ Three layers:
   evacuation path.
 """
 
+import gc
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -195,6 +197,29 @@ class TestSolverFaultBehavior:
         solver.run(None, 2)
         assert solver.cluster.orphan_handler is None
         assert seen == [solver._requeue_orphan] * 2
+
+    def test_run_without_steps_arms_no_fault(self):
+        """A 0-step run queues no failure or join: with the collector
+        off, neither the solver nor its cluster outlives ``del``.  The
+        next run that steps arms them."""
+        step = self._step_time()
+        faults = FaultSchedule(4, (ChurnEvent("fail", 1.5 * step, 0),
+                                   ChurnEvent("join", 2.5 * step, 4)))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            solver = _make_solver(faults, IntervalPolicy(1))
+            solver.run(None, 0)
+            refs = [weakref.ref(solver), weakref.ref(solver.cluster)]
+            del solver
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
+        solver = _make_solver(faults, IntervalPolicy(1))
+        solver.run(None, 0)
+        res = solver.run(None, 4)
+        assert [e.kind for e in res.recovery_events] == ["fail", "join"]
 
     def test_schedule_size_mismatch_rejected(self):
         faults = FaultSchedule(3, (ChurnEvent("fail", 1.0, 0),))
