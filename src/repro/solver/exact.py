@@ -142,8 +142,7 @@ class ManufacturedProblem:
         coef = np.array([-2 * math.pi * math.sin(2 * math.pi * t),
                          -math.cos(2 * math.pi * t)])
         if out is None:
-            return np.einsum("k,kn->n", coef,
-                             self._basis).reshape(self._space.shape)
+            out = np.empty(self._space.shape)
         np.einsum("k,kn->n", coef, self._basis,
                   out=out.reshape(-1, copy=False))
         return out

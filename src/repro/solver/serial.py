@@ -116,16 +116,19 @@ class SerialSolver:
             raise ValueError(f"u0 shape {u.shape} != grid {self.grid.shape}")
         times = [0.0]
         errors: Optional[List[float]] = None
-        scratch = self._scratch
         if exact is not None:
-            errors = [step_error(self.grid, u, exact(0.0, out=scratch),
-                                 out=scratch)]
+            errors = [self._step_error(u, 0.0, exact)]
         t = 0.0
         for _ in range(num_steps):
             u = self.step(u, t)
             t += self.dt
             times.append(t)
             if exact is not None:
-                errors.append(step_error(self.grid, u, exact(t, out=scratch),
-                                         out=scratch))
+                errors.append(self._step_error(u, t, exact))
         return SolveResult(u, times, errors)
+
+    def _step_error(self, u: np.ndarray, t: float,
+                    exact: Callable[..., np.ndarray]) -> float:
+        """Eq. (7) at time ``t``, the difference held in the scratch."""
+        scratch = self._scratch
+        return step_error(self.grid, u, exact(t, out=scratch), out=scratch)
